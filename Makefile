@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race bench bench-store bench-json bench-smoke fig7 fuzz fuzz-smoke faults soak soak-smoke mvcc-smoke telemetry-smoke repl-smoke failover-smoke govern-smoke vet staticcheck cover clean
+.PHONY: all build check test test-short race bench bench-store bench-json bench-smoke fig7 fuzz fuzz-smoke faults soak soak-smoke mvcc-smoke telemetry-smoke repl-smoke failover-smoke govern-smoke perfbench-check vet staticcheck cover clean
 
 all: check
 
@@ -128,6 +128,13 @@ failover-smoke:
 govern-smoke:
 	$(GO) test -race -run TestGovernSmoke -v .
 	$(GO) test -race ./internal/govern ./internal/rescache ./internal/engine
+
+# The end-to-end benchmark lives in its own module (perfbench/, run by
+# perfbench/run.sh), which `go build ./...` at the root does not cover.
+# Vet and test it so a renamed kernel it links fails here, not only when
+# the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Quick fuzz smoke for CI: a few seconds per fuzzer, catching gross
 # decoder/parser regressions without the cost of a long campaign.

@@ -126,14 +126,14 @@ func BenchmarkAblationPointQueryNaiveVsEfficient(b *testing.B) {
 
 	b.Run("efficient-epsilon", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := query.PointQuery(in.PI, p, o); err != nil {
+			if _, err := query.PointQueryIndexedCtx(context.Background(), in.PI, nil, p, o); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("naive-enumerate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gi, err := enumerate.Enumerate(in.PI, 0)
+			gi, err := enumerate.EnumerateCtx(context.Background(), in.PI, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func BenchmarkAblationPointQueryBayesVsEpsilon(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("epsilon/d%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := query.PointQuery(in.PI, p, o); err != nil {
+				if _, err := query.PointQueryIndexedCtx(context.Background(), in.PI, nil, p, o); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -242,7 +242,7 @@ func BenchmarkCodecEncode(b *testing.B) {
 func BenchmarkEnumerateFigure2(b *testing.B) {
 	pi := fixtures.Figure2()
 	for i := 0; i < b.N; i++ {
-		if _, err := enumerate.Enumerate(pi, 0); err != nil {
+		if _, err := enumerate.EnumerateCtx(context.Background(), pi, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func BenchmarkEnumerateFigure2(b *testing.B) {
 func BenchmarkBayesCompileFigure2(b *testing.B) {
 	pi := fixtures.Figure2()
 	for i := 0; i < b.N; i++ {
-		if _, err := bayes.Compile(pi); err != nil {
+		if _, err := bayes.CompileCtx(context.Background(), pi); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -285,14 +285,14 @@ func BenchmarkTopKVsEnumerate(b *testing.B) {
 	pi := fixtures.Figure2()
 	b.Run("topk-3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := enumerate.TopK(pi, 3, 0); err != nil {
+			if _, err := enumerate.TopKCtx(context.Background(), pi, 3, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("enumerate-all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := enumerate.Enumerate(pi, 0); err != nil {
+			if _, err := enumerate.EnumerateCtx(context.Background(), pi, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -378,7 +378,7 @@ func BenchmarkEngineColdVsWarmPointQuery(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := query.PointQuery(in.PI, p, o); err != nil {
+			if _, err := query.PointQueryIndexedCtx(context.Background(), in.PI, nil, p, o); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,10 +1,10 @@
 // Package admission implements per-tenant request admission control for
 // the pxmld server: token-bucket rate quotas with configurable rate and
-// burst, plus weighted fair sharing of the server's inflight capacity
-// under overload. It sits in front of the global max-inflight shedder —
-// a tenant that exhausts its quota is shed with 429 and a Retry-After
-// hint before it can queue on the shared semaphore, so one hot tenant
-// cannot starve the others.
+// burst, weighted fair sharing of the server's inflight capacity under
+// overload, and the hard inflight cap itself. It is the server's one
+// shedding gate — a tenant that exhausts its quota or its fair share, or
+// arrives when the cap is full, is shed with 429 and a Retry-After hint
+// instead of queueing, so one hot tenant cannot starve the others.
 //
 // Tenants are keyed by instance name (the unit of isolation everywhere
 // else in pxmld: storage, caching, and now capacity). The zero tenant ""
@@ -63,9 +63,9 @@ type Config struct {
 	Default Quota
 	// Tenants maps tenant (instance) names to their quotas.
 	Tenants map[string]Quota
-	// InflightLimit is the server's max-inflight bound that fairness
-	// divides under overload. Zero disables the fairness tier (the rate
-	// quotas still apply).
+	// InflightLimit is the server's max-inflight bound: requests beyond
+	// it are shed outright, and fairness divides it under overload. Zero
+	// disables both (the rate quotas still apply).
 	InflightLimit int
 	// OverloadFraction is the inflight utilisation (0..1] above which
 	// weighted fair sharing kicks in. Zero defaults to 0.75.
@@ -89,11 +89,13 @@ type Decision struct {
 	// MUST pair the Admit with Release(tenant) once the request ends.
 	OK bool
 	// RetryAfter hints when the tenant's bucket will hold a full token
-	// again (zero when shed for fairness: retry immediately after the
-	// overload drains). Rounded up to whole seconds by the HTTP layer.
+	// again; one second when shed at the inflight cap, zero when shed for
+	// fairness (retry immediately after the overload drains). Rounded up
+	// to whole seconds by the HTTP layer.
 	RetryAfter time.Duration
 	// Reason distinguishes the shed tiers: "quota" (token bucket empty)
-	// or "overload" (weighted fair share exceeded). Empty when admitted.
+	// or "overload" (inflight cap full, or weighted fair share
+	// exceeded). Empty when admitted.
 	Reason string
 }
 
@@ -194,7 +196,16 @@ func (c *Controller) Admit(tenant string) Decision {
 		}
 	}
 
-	// Tier 2: weighted fair sharing of the inflight capacity, engaged
+	// Tier 2: the hard inflight cap. Shedding fast beats queueing without
+	// bound: under overload it is better to fail a few requests than to
+	// slow every request down.
+	if c.limit > 0 && c.inflight >= c.limit {
+		c.mu.Unlock()
+		c.count(tenant, false)
+		return Decision{RetryAfter: time.Second, Reason: "overload"}
+	}
+
+	// Tier 3: weighted fair sharing of the inflight capacity, engaged
 	// only when the server is near its limit. A tenant already using at
 	// least its fair share is shed so the headroom goes to the others.
 	if c.limit > 0 && float64(c.inflight) >= c.overload*float64(c.limit) {

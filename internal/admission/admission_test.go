@@ -163,23 +163,32 @@ func TestWeightedFairnessUnderOverload(t *testing.T) {
 			t.Fatalf("sole-tenant admit %d shed (shares must be work-conserving)", i)
 		}
 	}
-	// At 10/10 inflight heavy has reached its (whole-capacity) share.
-	if d := c.Admit("heavy"); d.OK {
-		t.Fatal("heavy exceeded the inflight capacity")
-	} else if d.Reason != "overload" {
-		t.Errorf("shed reason = %q, want overload", d.Reason)
+	// At 10/10 inflight the hard cap sheds everyone, whatever the shares.
+	for _, tenant := range []string{"heavy", "light"} {
+		if d := c.Admit(tenant); d.OK {
+			t.Fatalf("%s exceeded the inflight capacity", tenant)
+		} else if d.Reason != "overload" {
+			t.Errorf("shed reason = %q, want overload", d.Reason)
+		}
 	}
-	// The light tenant still gets in: once it is active the shares are
-	// heavy 3/4·10 = 7.5 and light 1/4·10 = 2.5, and light is below its.
+	// One slot frees up. The light tenant gets it: once it is active the
+	// shares are heavy 3/4·10 = 7.5 and light 1/4·10 = 2.5, and light is
+	// below its.
+	c.Release("heavy")
 	if d := c.Admit("light"); !d.OK {
 		t.Fatalf("light tenant shed while under its share: %+v", d)
 	}
-	// Heavy is now far over its 7.5 share and keeps shedding...
-	if c.Admit("heavy").OK {
+	// Below the cap again (8 heavy + 1 light), heavy is over its 7.5
+	// share and keeps shedding...
+	c.Release("heavy")
+	if d := c.Admit("heavy"); d.OK {
 		t.Fatal("heavy admitted while over its weighted share")
+	} else if d.Reason != "overload" {
+		t.Errorf("shed reason = %q, want overload", d.Reason)
 	}
-	// ...until releases bring it back under: 4 inflight < 7.5.
-	for i := 0; i < 6; i++ {
+	// ...until releases bring it back under: 4 inflight < 7.5, with the
+	// total (4 heavy + 1 light) still at the overload threshold.
+	for i := 0; i < 4; i++ {
 		c.Release("heavy")
 	}
 	if !c.Admit("heavy").OK {

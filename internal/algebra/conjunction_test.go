@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -115,7 +116,7 @@ func TestQuickConjunctionMatchesOracle(t *testing.T) {
 		if nErr != nil || !approx(pFast, pNaive) {
 			return false
 		}
-		induced, err := enumerate.Enumerate(fast, 0)
+		induced, err := enumerate.EnumerateCtx(context.Background(), fast, 0)
 		if err != nil {
 			return false
 		}

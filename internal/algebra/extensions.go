@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"fmt"
 
 	"pxml/internal/core"
@@ -285,7 +286,7 @@ func matchedGlobal(pi *core.ProbInstance, p pathexpr.Path, limit int, keepSubtre
 	if p.Len() > 0 && p.Labels[p.Len()-1] == pathexpr.Wildcard {
 		return nil, fmt.Errorf("algebra: %s: wildcard final label has no canonical result label", p)
 	}
-	gi, err := enumerate.Enumerate(pi, limit)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, limit)
 	if err != nil {
 		return nil, err
 	}

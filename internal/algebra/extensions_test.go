@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -22,7 +23,7 @@ func TestSingleProjectTreeBib(t *testing.T) {
 		if err := fast.Validate(); err != nil {
 			t.Fatalf("result invalid (%s): %v", path, err)
 		}
-		induced, err := enumerate.Enumerate(fast, 0)
+		induced, err := enumerate.EnumerateCtx(context.Background(), fast, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func TestDescendantProjectTreeBib(t *testing.T) {
 		if err := fast.Validate(); err != nil {
 			t.Fatalf("result invalid (%s): %v", path, err)
 		}
-		induced, err := enumerate.Enumerate(fast, 0)
+		induced, err := enumerate.EnumerateCtx(context.Background(), fast, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func TestQuickSingleProjectMatchesOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		induced, err := enumerate.Enumerate(fast, 0)
+		induced, err := enumerate.EnumerateCtx(context.Background(), fast, 0)
 		if err != nil {
 			return false
 		}
@@ -171,7 +172,7 @@ func TestQuickDescendantProjectMatchesOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		induced, err := enumerate.Enumerate(fast, 0)
+		induced, err := enumerate.EnumerateCtx(context.Background(), fast, 0)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"fmt"
 
 	"pxml/internal/core"
@@ -15,7 +16,7 @@ import (
 // DAGs and is the oracle/baseline for AncestorProject. limit bounds the
 // enumeration (≤ 0 for the default).
 func AncestorProjectGlobal(pi *core.ProbInstance, p pathexpr.Path, limit int) (*enumerate.GlobalInterpretation, error) {
-	gi, err := enumerate.Enumerate(pi, limit)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -30,7 +31,7 @@ func AncestorProjectGlobal(pi *core.ProbInstance, p pathexpr.Path, limit int) (*
 // of the condition. It works on DAGs and on conditions whose conditional
 // distribution does not factor (e.g. multi-leaf value conditions).
 func SelectGlobal(pi *core.ProbInstance, cond Condition, limit int) (*enumerate.GlobalInterpretation, float64, error) {
-	gi, err := enumerate.Enumerate(pi, limit)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, limit)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -49,11 +50,11 @@ func SelectGlobal(pi *core.ProbInstance, cond Condition, limit int) (*enumerate.
 // already be disjoint (apply renames beforehand; CartesianProduct returns
 // the mapping it used).
 func CartesianProductGlobal(pi1, pi2 *core.ProbInstance, newRoot model.ObjectID, limit int) (*enumerate.GlobalInterpretation, error) {
-	g1, err := enumerate.Enumerate(pi1, limit)
+	g1, err := enumerate.EnumerateCtx(context.Background(), pi1, limit)
 	if err != nil {
 		return nil, err
 	}
-	g2, err := enumerate.Enumerate(pi2, limit)
+	g2, err := enumerate.EnumerateCtx(context.Background(), pi2, limit)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -51,7 +52,7 @@ func TestCartesianProductMatchesOracle(t *testing.T) {
 	if err := out.Validate(); err != nil {
 		t.Fatalf("product invalid: %v", err)
 	}
-	induced, err := enumerate.Enumerate(out, 0)
+	induced, err := enumerate.EnumerateCtx(context.Background(), out, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestCartesianProductRenames(t *testing.T) {
 		t.Errorf("objects = %v", out.Objects())
 	}
 	// Mass still coherent.
-	gi, err := enumerate.Enumerate(out, 0)
+	gi, err := enumerate.EnumerateCtx(context.Background(), out, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestQuickCartesianProductMatchesOracle(t *testing.T) {
 		if out.Validate() != nil {
 			return false
 		}
-		induced, err := enumerate.Enumerate(out, 0)
+		induced, err := enumerate.EnumerateCtx(context.Background(), out, 0)
 		if err != nil {
 			return false
 		}
@@ -244,11 +245,11 @@ func TestProductWithBareRootIsRename(t *testing.T) {
 		t.Error("product with unit is not a root rename")
 	}
 	// And the induced distributions agree with the oracle, too.
-	a, err := enumerate.Enumerate(out, 0)
+	a, err := enumerate.EnumerateCtx(context.Background(), out, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := enumerate.Enumerate(want, 0)
+	b, err := enumerate.EnumerateCtx(context.Background(), want, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -95,7 +96,7 @@ func checkProjectionAgainstOracle(t testing.TB, pi *core.ProbInstance, path stri
 	if err := fast.Validate(); err != nil {
 		t.Fatalf("projection result invalid (%s): %v", path, err)
 	}
-	induced, err := enumerate.Enumerate(fast, 0)
+	induced, err := enumerate.EnumerateCtx(context.Background(), fast, 0)
 	if err != nil {
 		t.Fatalf("enumerating result: %v", err)
 	}
@@ -284,7 +285,7 @@ func TestQuickAncestorProjectMatchesOracle(t *testing.T) {
 		if fast.Validate() != nil {
 			return false
 		}
-		induced, err := enumerate.Enumerate(fast, 0)
+		induced, err := enumerate.EnumerateCtx(context.Background(), fast, 0)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -37,7 +38,7 @@ func checkSelectionAgainstOracle(t testing.TB, pi *core.ProbInstance, cond Condi
 	if err := fast.Validate(); err != nil {
 		t.Fatalf("selection result invalid: %v", err)
 	}
-	induced, err := enumerate.Enumerate(fast, 0)
+	induced, err := enumerate.EnumerateCtx(context.Background(), fast, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestQuickSelectObjectMatchesOracle(t *testing.T) {
 		if nErr != nil || !approx(pFast, pNaive) {
 			return false
 		}
-		induced, err := enumerate.Enumerate(fast, 0)
+		induced, err := enumerate.EnumerateCtx(context.Background(), fast, 0)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package bayes
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,7 +80,7 @@ func TestEliminateAllScalar(t *testing.T) {
 	pa := NewFactor([]int{0}, []int{2})
 	pa.Set([]int{0}, 0.25)
 	pa.Set([]int{1}, 0.75)
-	f, err := EliminateAll([]*Factor{pa}, nil)
+	f, err := EliminateAllCtx(context.Background(), []*Factor{pa}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +98,16 @@ func TestEliminateAllScalar(t *testing.T) {
 // the enumeration oracle.
 func TestCompileFigure2Exists(t *testing.T) {
 	pi := fixtures.Figure2()
-	net, err := Compile(pi)
+	net, err := CompileCtx(context.Background(), pi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, err := enumerate.Enumerate(pi, 0)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range []string{"B1", "B2", "B3", "A1", "A2", "A3", "I1", "I2", "T1", "T2"} {
-		got, err := net.ProbExists(o)
+		got, err := net.ProbExistsCtx(context.Background(), o)
 		if err != nil {
 			t.Fatalf("ProbExists(%s): %v", o, err)
 		}
@@ -116,7 +117,7 @@ func TestCompileFigure2Exists(t *testing.T) {
 		}
 	}
 	// Root marginal has no absent state.
-	m, err := net.Marginal("R")
+	m, err := net.MarginalCtx(context.Background(), "R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,11 @@ func TestCompileFigure2Exists(t *testing.T) {
 
 func TestProbValueFigure2(t *testing.T) {
 	pi := fixtures.Figure2VariedLeaves()
-	net, err := Compile(pi)
+	net, err := CompileCtx(context.Background(), pi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, err := enumerate.Enumerate(pi, 0)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestProbValueFigure2(t *testing.T) {
 // Section 6 tree algorithms do not apply, cross-checked against the oracle.
 func TestPathProbFigure2(t *testing.T) {
 	pi := fixtures.Figure2()
-	gi, err := enumerate.Enumerate(pi, 0)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestCompileRejectsCycle(t *testing.T) {
 	pi.SetLCh("I1", "loop", "R") // introduces a cycle through the root? root cannot be a child; use B1
 	pi.SetLCh("I1", "loop")
 	pi.SetLCh("I1", "l", "B1")
-	if _, err := Compile(pi); err == nil {
+	if _, err := CompileCtx(context.Background(), pi); err == nil {
 		t.Error("cyclic instance compiled")
 	}
 }
@@ -221,17 +222,17 @@ func TestQuickBayesMatchesOracleDAG(t *testing.T) {
 		if pi.NumObjects() > 11 {
 			return true
 		}
-		net, err := Compile(pi)
+		net, err := CompileCtx(context.Background(), pi)
 		if err != nil {
 			return false
 		}
-		gi, err := enumerate.Enumerate(pi, 0)
+		gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 		if err != nil {
 			return false
 		}
 		objs := pi.Objects()
 		o := objs[r.Intn(len(objs))]
-		got, err := net.ProbExists(o)
+		got, err := net.ProbExistsCtx(context.Background(), o)
 		if err != nil {
 			return false
 		}
@@ -263,7 +264,7 @@ func TestQuickPathProbMatchesOracleDAG(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gi, err := enumerate.Enumerate(pi, 0)
+		gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 		if err != nil {
 			return false
 		}
@@ -280,11 +281,11 @@ func TestQuickPathProbMatchesOracleDAG(t *testing.T) {
 // of the selection operator's Definition 5.6 renormalization.
 func TestConditionalQueriesFigure2(t *testing.T) {
 	pi := fixtures.Figure2()
-	net, err := Compile(pi)
+	net, err := CompileCtx(context.Background(), pi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, err := enumerate.Enumerate(pi, 0)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestConditionalQueriesFigure2(t *testing.T) {
 
 func TestConditionalQueryErrors(t *testing.T) {
 	pi := fixtures.Figure2()
-	net, err := Compile(pi)
+	net, err := CompileCtx(context.Background(), pi)
 	if err != nil {
 		t.Fatal(err)
 	}

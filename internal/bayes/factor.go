@@ -297,16 +297,13 @@ func checkedNewFactor(g *govern.Governor, vars []int, card []int) (*Factor, erro
 	return NewFactor(vars, card), nil
 }
 
-// EliminateAll multiplies the factors and sums out every variable in keep's
-// complement, returning the joint factor over keep (nil keep = eliminate
-// everything, yielding a scalar factor). Elimination order is min-degree
-// greedy over the factor graph.
-func EliminateAll(factors []*Factor, keep map[int]bool) (*Factor, error) {
-	return EliminateAllCtx(context.Background(), factors, keep)
-}
-
-// EliminateAllCtx is EliminateAll under a context-carried resource
-// governor: every intermediate product is charged against the query's
+// EliminateAllCtx multiplies the factors and sums out every variable in
+// keep's complement, returning the joint factor over keep (nil keep =
+// eliminate everything, yielding a scalar factor). Elimination order is
+// min-degree greedy over the factor graph.
+//
+// Under a context-carried resource governor (govern.From) every
+// intermediate product is charged against the query's
 // step and byte budgets and size-checked BEFORE its table is allocated,
 // and cancellation is honoured between bucket multiplications, so an
 // abandoned query stops within one factor product instead of running

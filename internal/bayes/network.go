@@ -74,16 +74,13 @@ func (n *Network) addVar(name string, states []string) int {
 	return id
 }
 
-// Compile maps a probabilistic instance to its Bayesian network per the
+// CompileCtx maps a probabilistic instance to its Bayesian network per the
 // Section 6 correspondence. Variables are created in topological order of
 // the weak instance graph, so every object's weak parents already have
 // variables when its CPT is built.
-func Compile(pi *core.ProbInstance) (*Network, error) {
-	return CompileCtx(context.Background(), pi)
-}
-
-// CompileCtx is Compile under a context-carried resource governor: each
-// CPT is size-checked against the hard factor cap and the query's byte
+//
+// Under a context-carried resource governor (govern.From) each CPT is
+// size-checked against the hard factor cap and the query's byte
 // budget BEFORE its table is allocated, and cancellation is honoured
 // between objects. Even without a governor the hard cap applies, so a
 // width-bomb instance fails compilation with a typed error instead of
@@ -221,12 +218,8 @@ func includesChild(net *Network, pv, st int, o model.ObjectID) bool {
 	return false
 }
 
-// Marginal computes the marginal distribution of an object's variable.
-func (n *Network) Marginal(o model.ObjectID) (map[string]float64, error) {
-	return n.MarginalCtx(context.Background(), o)
-}
-
-// MarginalCtx is Marginal with elimination governed by ctx's budget.
+// MarginalCtx computes the marginal distribution of an object's variable,
+// with elimination governed by ctx's budget.
 func (n *Network) MarginalCtx(ctx context.Context, o model.ObjectID) (map[string]float64, error) {
 	id, ok := n.objVar[o]
 	if !ok {
@@ -243,14 +236,10 @@ func (n *Network) MarginalCtx(ctx context.Context, o model.ObjectID) (map[string
 	return out, nil
 }
 
-// ProbExists returns the probability that object o occurs in a compatible
-// instance — the Section 2 scenario 4 query ("the probability that a
-// particular author exists"), exact on DAGs.
-func (n *Network) ProbExists(o model.ObjectID) (float64, error) {
-	return n.ProbExistsCtx(context.Background(), o)
-}
-
-// ProbExistsCtx is ProbExists with elimination governed by ctx's budget.
+// ProbExistsCtx returns the probability that object o occurs in a
+// compatible instance — the Section 2 scenario 4 query ("the probability
+// that a particular author exists"), exact on DAGs — with elimination
+// governed by ctx's budget.
 func (n *Network) ProbExistsCtx(ctx context.Context, o model.ObjectID) (float64, error) {
 	m, err := n.MarginalCtx(ctx, o)
 	if err != nil {
@@ -261,7 +250,7 @@ func (n *Network) ProbExistsCtx(ctx context.Context, o model.ObjectID) (float64,
 
 // ProbValue returns the probability that typed leaf o occurs with value v.
 func (n *Network) ProbValue(o model.ObjectID, v model.Value) (float64, error) {
-	m, err := n.Marginal(o)
+	m, err := n.MarginalCtx(context.Background(), o)
 	if err != nil {
 		return 0, err
 	}
@@ -278,23 +267,18 @@ func PathProb(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float64
 	if p.Root != pi.Root() {
 		return 0, nil
 	}
-	net, err := Compile(pi)
+	net, err := CompileCtx(context.Background(), pi)
 	if err != nil {
 		return 0, err
 	}
 	return pathProbOn(context.Background(), net, pi, p, o)
 }
 
-// PathProbWith is PathProb over a previously compiled network: callers
+// PathProbWithCtx is PathProb over a previously compiled network: callers
 // holding many queries against one immutable instance compile once and
 // reuse. The shared network is never mutated — the path augmentation works
-// on a shallow per-query clone of the variable table.
-func PathProbWith(net *Network, pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float64, error) {
-	return PathProbWithCtx(context.Background(), net, pi, p, o)
-}
-
-// PathProbWithCtx is PathProbWith under a context-carried resource
-// governor: the reachability factors and every elimination product are
+// on a shallow per-query clone of the variable table. Under a
+// context-carried resource governor the reachability factors and every elimination product are
 // budget-checked before allocation and cancellation is honoured at the
 // per-variable loop boundaries.
 func PathProbWithCtx(ctx context.Context, net *Network, pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float64, error) {
@@ -536,7 +520,7 @@ func (n *Network) ProbEvidence(ev Evidence) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	joint, err := EliminateAll(append(append([]*Factor(nil), n.factors...), evf...), nil)
+	joint, err := EliminateAllCtx(context.Background(), append(append([]*Factor(nil), n.factors...), evf...), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -556,7 +540,7 @@ func (n *Network) MarginalGiven(o model.ObjectID, ev Evidence) (map[string]float
 	if err != nil {
 		return nil, err
 	}
-	joint, err := EliminateAll(append(append([]*Factor(nil), n.factors...), evf...), map[int]bool{id: true})
+	joint, err := EliminateAllCtx(context.Background(), append(append([]*Factor(nil), n.factors...), evf...), map[int]bool{id: true})
 	if err != nil {
 		return nil, err
 	}

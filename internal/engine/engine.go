@@ -16,7 +16,7 @@
 // pool.
 //
 // Per-engine observability: query and error counts, cache hits/misses,
-// and a latency histogram, exported as a JSON-encodable snapshot (the
+// and a latency timer, exported as a JSON-encodable snapshot (the
 // server aggregates these under GET /metrics).
 package engine
 
@@ -30,7 +30,6 @@ import (
 
 	"pxml/internal/bayes"
 	"pxml/internal/core"
-	"pxml/internal/enumerate"
 	"pxml/internal/govern"
 	"pxml/internal/metrics"
 	"pxml/internal/model"
@@ -126,7 +125,7 @@ type Engine struct {
 	misses  *metrics.Counter
 	rhits   *metrics.Counter
 	rmisses *metrics.Counter
-	latency *metrics.Histogram
+	latency *metrics.Timer
 }
 
 // Option configures an Engine.
@@ -205,7 +204,7 @@ func New(pi *core.ProbInstance, opts ...Option) *Engine {
 	e.misses = e.reg.Counter("cache_misses")
 	e.rhits = e.reg.Counter("result_cache_hits")
 	e.rmisses = e.reg.Counter("result_cache_misses")
-	e.latency = e.reg.Histogram("latency")
+	e.latency = e.reg.Timer("latency")
 	for _, o := range opts {
 		o(e)
 	}
@@ -219,7 +218,7 @@ func (e *Engine) Instance() *core.ProbInstance { return e.pi }
 func (e *Engine) Workers() int { return cap(e.sem) }
 
 // Metrics returns a JSON-encodable snapshot of the engine's counters and
-// latency histogram.
+// latency timer.
 func (e *Engine) Metrics() map[string]any { return e.reg.Snapshot() }
 
 // count tallies a cache access on the engine's hit/miss counters.
@@ -250,7 +249,10 @@ func (e *Engine) Index() *pathexpr.Index {
 // Network returns the cached compiled Bayesian network (the compile error,
 // if any, is cached too).
 func (e *Engine) Network() (*bayes.Network, error) {
-	v, err, hit := e.net.get(func() (*bayes.Network, error) { return bayes.Compile(e.pi) })
+	// The build runs without the caller's context: the network is shared
+	// by every later query, so one caller's cancellation or budget must
+	// never leave an error cached in the slot.
+	v, err, hit := e.net.get(func() (*bayes.Network, error) { return bayes.CompileCtx(context.Background(), e.pi) })
 	e.count(hit)
 	return v, err
 }
@@ -286,9 +288,9 @@ func (e *Engine) Profile() govern.Profile {
 func (e *Engine) Budget() govern.Budget { return e.budget }
 
 // governed returns ctx carrying a governor for one query. A governor
-// already on ctx is reused (backend sub-evaluations run under their
-// statement's governor rather than getting a fresh budget each); otherwise
-// the engine's budget deadline is applied to ctx and a new governor
+// already on ctx is reused (sub-evaluations run under their statement's
+// governor rather than getting a fresh budget each); otherwise the
+// engine's budget deadline is applied to ctx and a new governor
 // installed. The cancel func must be called when the query finishes.
 func (e *Engine) governed(ctx context.Context) (context.Context, *govern.Governor, context.CancelFunc) {
 	if g := govern.From(ctx); g != nil {
@@ -497,7 +499,7 @@ func (e *Engine) exec(ctx context.Context, q pxql.Query) (res *pxql.Result, err 
 		defer func() { e.costObs(q.Shape(), g.Estimate(), g.Steps()) }()
 	}
 	defer recoverQueryPanic(&err)
-	res, err = pxql.ExecWithCtx(ctx, e.pi, q, backend{e: e, ctx: ctx})
+	res, err = e.execStmt(ctx, q)
 	return res, err
 }
 
@@ -552,20 +554,8 @@ func (e *Engine) ProbValue(ctx context.Context, p pathexpr.Path, o model.ObjectI
 		return 0, err
 	}
 	defer recoverQueryPanic(&err)
-	if e.IsTree() {
-		pr, err = query.ValuePointQueryIndexedCtx(ctx, e.pi, e.Index(), p, o, v)
-		return pr, err
-	}
-	vpf := e.pi.VPF(o)
-	if vpf == nil {
-		return 0, nil
-	}
-	pr, err = e.pointProb(ctx, p, o)
-	if err != nil {
-		return 0, err
-	}
-	pr *= vpf.Prob(v)
-	return pr, nil
+	pr, err = e.valuePointProb(ctx, p, o, v)
+	return pr, err
 }
 
 // ProbObject returns the existence marginal P(o exists) via the cached
@@ -585,8 +575,10 @@ func (e *Engine) ProbObject(ctx context.Context, o model.ObjectID) (pr float64, 
 	return pr, err
 }
 
-// Uninstrumented primitives: the Prob* wrappers and the pxql backend share
-// these so each statement is metered exactly once.
+// Uninstrumented primitives: the inference router. The Prob* wrappers and
+// the statement dispatcher share these so each statement is metered exactly
+// once, and this is the only place that picks between the ε lane (trees)
+// and the Bayesian-network lane (DAGs).
 
 func (e *Engine) pointProb(ctx context.Context, p pathexpr.Path, o model.ObjectID) (float64, error) {
 	if err := ctx.Err(); err != nil {
@@ -622,6 +614,35 @@ func (e *Engine) existsProb(ctx context.Context, p pathexpr.Path) (float64, erro
 	return bayes.PathProbWithCtx(ctx, net, e.pi, p, "")
 }
 
+// valuePointProb factors through pointProb on DAGs: the value draw is
+// independent of the structure choice given that o occurs.
+func (e *Engine) valuePointProb(ctx context.Context, p pathexpr.Path, o model.ObjectID, v model.Value) (float64, error) {
+	if e.IsTree() {
+		return query.ValuePointQueryIndexedCtx(ctx, e.pi, e.Index(), p, o, v)
+	}
+	vpf := e.pi.VPF(o)
+	if vpf == nil {
+		return 0, nil
+	}
+	pr, err := e.pointProb(ctx, p, o)
+	if err != nil {
+		return 0, err
+	}
+	return pr * vpf.Prob(v), nil
+}
+
+// valueExistsProb has only the ε lane: no DAG route exists for
+// value-existence over multiple leaves, so DAGs surface query.ErrNotTree.
+func (e *Engine) valueExistsProb(ctx context.Context, p pathexpr.Path, v model.Value) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if !e.IsTree() {
+		return 0, query.ErrNotTree
+	}
+	return query.ValueExistsQueryIndexedCtx(ctx, e.pi, e.Index(), p, v)
+}
+
 func (e *Engine) objectProb(ctx context.Context, o model.ObjectID) (float64, error) {
 	net, err := e.Network()
 	if err != nil {
@@ -631,46 +652,4 @@ func (e *Engine) objectProb(ctx context.Context, o model.ObjectID) (float64, err
 		return 0, err
 	}
 	return net.ProbExistsCtx(ctx, o)
-}
-
-// backend adapts the engine's cached primitives to the pxql.Backend seam,
-// carrying the caller's context into each sub-evaluation.
-type backend struct {
-	e   *Engine
-	ctx context.Context
-}
-
-func (b backend) PointProb(p pathexpr.Path, o model.ObjectID) (float64, error) {
-	return b.e.pointProb(b.ctx, p, o)
-}
-
-func (b backend) ExistsProb(p pathexpr.Path) (float64, error) {
-	return b.e.existsProb(b.ctx, p)
-}
-
-func (b backend) ValueExistsProb(p pathexpr.Path, v model.Value) (float64, error) {
-	if err := b.ctx.Err(); err != nil {
-		return 0, err
-	}
-	if b.e.IsTree() {
-		return query.ValueExistsQueryIndexedCtx(b.ctx, b.e.pi, b.e.Index(), p, v)
-	}
-	// Parity with the direct backend: no DAG route exists for
-	// value-existence over multiple leaves.
-	return query.ValueExistsQuery(b.e.pi, p, v)
-}
-
-func (b backend) ObjectProb(o model.ObjectID) (float64, error) {
-	return b.e.objectProb(b.ctx, o)
-}
-
-func (b backend) Marginals() (map[model.ObjectID]float64, error) {
-	if err := b.ctx.Err(); err != nil {
-		return nil, err
-	}
-	return b.e.Marginals()
-}
-
-func (b backend) Estimate(op string, p pathexpr.Path, o model.ObjectID, n int) (enumerate.Estimate, error) {
-	return b.e.estimate(b.ctx, op, p, o, n)
 }

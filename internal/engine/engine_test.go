@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"pxml/internal/algebra"
 	"pxml/internal/core"
+	"pxml/internal/enumerate"
 	"pxml/internal/fixtures"
 	"pxml/internal/metrics"
 	"pxml/internal/model"
@@ -22,7 +24,7 @@ import (
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 // treeBib builds the tree bibliography the pxql tests use, so engine
-// results can be cross-checked against the direct evaluation route.
+// results can be cross-checked against the possible-worlds oracle.
 func treeBib(t testing.TB) *core.ProbInstance {
 	t.Helper()
 	pi := core.NewProbInstance("R")
@@ -57,8 +59,8 @@ func treeBib(t testing.TB) *core.ProbInstance {
 	return pi
 }
 
-// statements every instance kind should answer identically through the
-// engine and through the direct pxql route.
+// statements every instance kind should answer exactly as the
+// possible-worlds oracle does.
 var parityStatements = []string{
 	"PROB R.book = B1",
 	"PROB R.book.author = A1",
@@ -68,6 +70,62 @@ var parityStatements = []string{
 	"STATS",
 	"WORLDS 3",
 	"TOPK 2",
+}
+
+// oracleProb is the reference answer of a scalar statement: the expectation
+// of its per-world value over the enumerated possible worlds (Definitions
+// 4.1–4.4). It is computed by enumerate.EnumerateCtx and the statement's
+// own predicate, independently of the engine's inference lanes.
+func oracleProb(t *testing.T, gi *enumerate.GlobalInterpretation, q pxql.Query) (float64, bool) {
+	t.Helper()
+	var value func(w *model.Instance) float64
+	indicator := func(ok bool) float64 {
+		if ok {
+			return 1
+		}
+		return 0
+	}
+	switch q.Op {
+	case "prob-point":
+		value = func(w *model.Instance) float64 { return indicator(q.Path.Matches(w.Graph(), q.Object)) }
+	case "select":
+		c, ok := q.Cond.(algebra.ObjectCondition)
+		if !ok {
+			t.Fatalf("oracle: unsupported condition %s", q.Cond)
+		}
+		value = func(w *model.Instance) float64 { return indicator(c.Path.Matches(w.Graph(), c.Object)) }
+	case "prob-exists":
+		value = func(w *model.Instance) float64 { return indicator(len(q.Path.Targets(w.Graph())) > 0) }
+	case "prob-object":
+		value = func(w *model.Instance) float64 { return indicator(w.HasObject(q.Object)) }
+	case "prob-value":
+		value = func(w *model.Instance) float64 {
+			for _, o := range q.Path.Targets(w.Graph()) {
+				if v, ok := w.ValueOf(o); ok && v == q.Value {
+					return 1
+				}
+			}
+			return 0
+		}
+	case "chain":
+		value = func(w *model.Instance) float64 {
+			for i := 0; i+1 < len(q.Chain); i++ {
+				if !w.Graph().HasEdge(q.Chain[i], q.Chain[i+1]) {
+					return 0
+				}
+			}
+			return 1
+		}
+	case "count":
+		value = func(w *model.Instance) float64 { return float64(len(q.Path.Targets(w.Graph()))) }
+	default:
+		return 0, false
+	}
+	sum := 0.0
+	for _, w := range gi.Worlds() {
+		sum += w.P * value(w.S)
+	}
+	return sum, true
 }
 
 func TestEngineMatchesDirectEvaluation(t *testing.T) {
@@ -89,23 +147,87 @@ func TestEngineMatchesDirectEvaluation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := New(tc.pi)
 			ctx := context.Background()
+			gi, err := enumerate.EnumerateCtx(ctx, tc.pi, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worlds := gi.Worlds()
 			for _, stmt := range append(append([]string(nil), parityStatements...), tc.extra...) {
-				want, werr := pxql.Eval(tc.pi, stmt)
-				got, gerr := eng.Run(ctx, stmt)
-				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("%s: direct err=%v engine err=%v", stmt, werr, gerr)
+				q, err := pxql.Parse(stmt)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if werr != nil {
+				got, err := eng.Run(ctx, stmt)
+				if err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+				if want, ok := oracleProb(t, gi, q); ok {
+					if got.Prob == nil {
+						t.Errorf("%s: no probability, oracle %v", stmt, want)
+					} else if !approx(*got.Prob, want) {
+						t.Errorf("%s: engine %v, oracle %v", stmt, *got.Prob, want)
+					}
 					continue
 				}
-				if (want.Prob == nil) != (got.Prob == nil) {
-					t.Fatalf("%s: prob presence mismatch", stmt)
-				}
-				if want.Prob != nil && !approx(*want.Prob, *got.Prob) {
-					t.Errorf("%s: engine %v, direct %v", stmt, *got.Prob, *want.Prob)
-				}
-				if want.Text != got.Text {
-					t.Errorf("%s: text mismatch\nengine: %s\ndirect: %s", stmt, got.Text, want.Text)
+				switch q.Op {
+				case "marginals":
+					for _, line := range strings.Split(got.Text, "\n") {
+						var o string
+						var p float64
+						if _, err := fmt.Sscanf(line, "%s\t%f", &o, &p); err != nil {
+							t.Fatalf("%s: bad line %q: %v", stmt, line, err)
+						}
+						want := gi.ProbWhere(func(w *model.Instance) bool { return w.HasObject(o) })
+						if math.Abs(p-want) > 1e-9 {
+							t.Errorf("%s: P(%s exists) = %v, oracle %v", stmt, o, p, want)
+						}
+					}
+				case "worlds", "topk":
+					lines := strings.Split(got.Text, "\n")
+					if q.Op == "worlds" {
+						if want := fmt.Sprintf("%d worlds, total probability %.9f", gi.Len(), gi.TotalMass()); lines[0] != want {
+							t.Errorf("%s: header %q, oracle %q", stmt, lines[0], want)
+						}
+						lines = lines[1:]
+					}
+					if len(lines) != q.Top {
+						t.Fatalf("%s: %d worlds listed, want %d", stmt, len(lines), q.Top)
+					}
+					for i, line := range lines {
+						if want := fmt.Sprintf("p=%.9f objects=%v", worlds[i].P, worlds[i].S.Objects()); line != want {
+							t.Errorf("%s: world %d = %q, oracle %q", stmt, i, line, want)
+						}
+					}
+				case "stats":
+					if want := fmt.Sprintf("tree=%v", tc.pi.IsTree()); !strings.HasSuffix(got.Text, want) {
+						t.Errorf("%s: %q does not end in %q", stmt, got.Text, want)
+					}
+				case "project":
+					// Λ_p keeps exactly the objects that lie on a matching
+					// path — a target or one of its ancestors — in some world.
+					onPath := map[string]bool{}
+					for _, w := range worlds {
+						stack := q.Path.Targets(w.S.Graph())
+						for len(stack) > 0 {
+							o := stack[len(stack)-1]
+							stack = stack[:len(stack)-1]
+							if !onPath[o] {
+								onPath[o] = true
+								stack = append(stack, w.S.Graph().Parents(o)...)
+							}
+						}
+					}
+					for _, o := range got.Instance.Objects() {
+						if !onPath[o] {
+							t.Errorf("%s: kept %s, which no world puts on the path", stmt, o)
+						}
+						delete(onPath, o)
+					}
+					if len(onPath) > 0 {
+						t.Errorf("%s: dropped %v", stmt, onPath)
+					}
+				default:
+					t.Fatalf("%s: no oracle for %q", stmt, q.Op)
 				}
 			}
 		})
@@ -184,7 +306,7 @@ func TestEngineMetricsCount(t *testing.T) {
 	if e := m["errors"].(int64); e != 1 {
 		t.Errorf("errors = %d, want 1", e)
 	}
-	lat := m["latency"].(metrics.HistogramSnapshot)
+	lat := m["latency"].(metrics.TimerSnapshot)
 	if lat.Count != 6 {
 		t.Errorf("latency count = %d, want 6", lat.Count)
 	}
@@ -335,15 +457,14 @@ func TestEngineConcurrentHammer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := New(tc.pi, WithWorkers(4))
 			ctx := context.Background()
-			// Reference answers computed through the direct route.
-			wantPoint, err := pxql.Eval(tc.pi, "PROB R.book.author = A1")
+			// Reference answers from the possible-worlds oracle.
+			gi, err := enumerate.EnumerateCtx(ctx, tc.pi, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantExists, err := pxql.Eval(tc.pi, "PROB EXISTS R.book.author")
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := pathexpr.MustParse("R.book.author")
+			wantPoint := gi.ProbWhere(func(w *model.Instance) bool { return p.Matches(w.Graph(), "A1") })
+			wantExists := gi.ProbWhere(func(w *model.Instance) bool { return len(p.Targets(w.Graph())) > 0 })
 			const goroutines = 16
 			const iters = 25
 			var wg sync.WaitGroup
@@ -352,18 +473,23 @@ func TestEngineConcurrentHammer(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					p := pathexpr.MustParse("R.book.author")
 					for i := 0; i < iters; i++ {
 						switch (g + i) % 5 {
 						case 0:
 							pr, err := eng.ProbPoint(ctx, p, "A1")
-							if err != nil || !approx(pr, *wantPoint.Prob) {
+							if err == nil && !approx(pr, wantPoint) {
+								err = fmt.Errorf("ProbPoint = %v, oracle %v", pr, wantPoint)
+							}
+							if err != nil {
 								errCh <- err
 								return
 							}
 						case 1:
 							pr, err := eng.ProbExists(ctx, p)
-							if err != nil || !approx(pr, *wantExists.Prob) {
+							if err == nil && !approx(pr, wantExists) {
+								err = fmt.Errorf("ProbExists = %v, oracle %v", pr, wantExists)
+							}
+							if err != nil {
 								errCh <- err
 								return
 							}

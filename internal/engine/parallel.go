@@ -149,13 +149,12 @@ const estimateShards = 8
 // seed, and the shard hit counts combine exactly. The estimate differs
 // from the sequential single-stream one only in which (deterministic)
 // pseudo-random worlds are drawn.
-func (e *Engine) estimate(ctx context.Context, op string, p pathexpr.Path, o model.ObjectID, n int) (enumerate.Estimate, error) {
+func (e *Engine) estimate(ctx context.Context, pred func(*model.Instance) bool, n int) (enumerate.Estimate, error) {
 	if n < estimateShards {
-		// Too small to be worth fanning out; match the direct backend.
+		// Too small to be worth fanning out: one sequential stream.
 		r := rand.New(rand.NewSource(1))
-		return enumerate.EstimateProbCtx(ctx, e.pi, pxql.EstimatePred(op, p, o), n, r)
+		return enumerate.EstimateProbCtx(ctx, e.pi, pred, n, r)
 	}
-	pred := pxql.EstimatePred(op, p, o)
 	// The shards share the statement's governor: the step budget bounds
 	// the total sample work regardless of how it is split.
 	gov := govern.From(ctx)

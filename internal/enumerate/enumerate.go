@@ -21,7 +21,7 @@ import (
 )
 
 // DefaultWorldLimit bounds the number of compatible instances materialized
-// by Enumerate. The count grows exponentially with instance size, so the
+// by EnumerateCtx. The count grows exponentially with instance size, so the
 // oracle is only intended for small inputs.
 const DefaultWorldLimit = 200000
 
@@ -161,20 +161,17 @@ func (gi *GlobalInterpretation) Equal(other *GlobalInterpretation, tol float64) 
 	return true
 }
 
-// Enumerate materializes Domain(I) with probabilities P_℘. Objects are
+// EnumerateCtx materializes Domain(I) with probabilities P_℘. Objects are
 // processed in topological order of the weak instance graph; each present
 // non-leaf branches over the support of its OPF, and each present typed
 // leaf branches over the support of its VPF. limit ≤ 0 uses
 // DefaultWorldLimit. An error is returned when the weak instance graph is
 // cyclic or the world count exceeds the limit.
-func Enumerate(pi *core.ProbInstance, limit int) (*GlobalInterpretation, error) {
-	return EnumerateCtx(context.Background(), pi, limit)
-}
-
-// EnumerateCtx is Enumerate under a context-carried resource governor:
-// each recursion step charges one work unit and each materialized world
-// charges its object count, so an over-budget or cancelled enumeration
-// unwinds within one branch instead of materializing the full domain.
+//
+// Under a context-carried resource governor (govern.From) each recursion
+// step charges one work unit and each materialized world charges its
+// object count, so an over-budget or cancelled enumeration unwinds within
+// one branch instead of materializing the full domain.
 func EnumerateCtx(ctx context.Context, pi *core.ProbInstance, limit int) (*GlobalInterpretation, error) {
 	gov := govern.From(ctx)
 	if limit <= 0 {
@@ -364,7 +361,7 @@ func FactorLocal(gi *GlobalInterpretation, w *core.WeakInstance) *core.ProbInsta
 // global distribution equals gi on every world within tol — i.e. whether
 // the factorization of Theorem 2 reproduces the global interpretation.
 func SatisfiesLocal(gi *GlobalInterpretation, pi *core.ProbInstance, tol float64) (bool, error) {
-	induced, err := Enumerate(pi, 0)
+	induced, err := EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		return false, err
 	}

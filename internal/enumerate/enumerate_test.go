@@ -1,6 +1,7 @@
 package enumerate
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,7 +21,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 // instances sum to one (Theorem 1).
 func TestTheorem1Figure2(t *testing.T) {
 	pi := fixtures.Figure2()
-	gi, err := Enumerate(pi, 0)
+	gi, err := EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestTheorem1Figure2(t *testing.T) {
 // enumeration with its hand-computed probability.
 func TestEnumerateContainsS1(t *testing.T) {
 	pi := fixtures.Figure2()
-	gi, err := Enumerate(pi, 0)
+	gi, err := EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestQuickTheorem1(t *testing.T) {
 		if pi.NumObjects() > 14 {
 			return true // keep enumeration tractable
 		}
-		gi, err := Enumerate(pi, 0)
+		gi, err := EnumerateCtx(context.Background(), pi, 0)
 		if err != nil {
 			return false
 		}
@@ -113,7 +114,7 @@ func TestQuickTheorem2RoundTrip(t *testing.T) {
 		if pi.NumObjects() > 11 {
 			return true // keep enumeration tractable
 		}
-		gi, err := Enumerate(pi, 0)
+		gi, err := EnumerateCtx(context.Background(), pi, 0)
 		if err != nil {
 			return false
 		}
@@ -132,7 +133,7 @@ func TestQuickTheorem2RoundTrip(t *testing.T) {
 // Definition 4.5 holds by construction).
 func TestFactorLocalRecoversOPFs(t *testing.T) {
 	pi := fixtures.Figure2VariedLeaves()
-	gi, err := Enumerate(pi, 0)
+	gi, err := EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestNonFactoringGlobal(t *testing.T) {
 		t.Error("correlated global interpretation factored exactly; it must not")
 	}
 	// The factored version spreads mass over all four value combinations.
-	ind, err := Enumerate(rec, 0)
+	ind, err := EnumerateCtx(context.Background(), rec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestNonFactoringGlobal(t *testing.T) {
 
 func TestFilterNormalizes(t *testing.T) {
 	pi := fixtures.Figure2()
-	gi, err := Enumerate(pi, 0)
+	gi, err := EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,13 +258,13 @@ func TestEnumerateErrors(t *testing.T) {
 	pi.SetLCh("r", "l", "a")
 	pi.SetLCh("a", "l", "b")
 	pi.SetLCh("b", "l", "a")
-	if _, err := Enumerate(pi, 0); err == nil {
+	if _, err := EnumerateCtx(context.Background(), pi, 0); err == nil {
 		t.Error("cyclic instance enumerated")
 	}
 
 	// World limit.
 	big := fixtures.Figure2()
-	if _, err := Enumerate(big, 3); err == nil {
+	if _, err := EnumerateCtx(context.Background(), big, 3); err == nil {
 		t.Error("world limit not enforced")
 	}
 }
@@ -295,7 +296,7 @@ func TestEqualToleratesMissingWorlds(t *testing.T) {
 // TestWorldsOrderStable: Worlds sorts by descending probability.
 func TestWorldsOrderStable(t *testing.T) {
 	pi := fixtures.Figure2()
-	gi, err := Enumerate(pi, 0)
+	gi, err := EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestEnumerateUntypedLeafUnitFactor(t *testing.T) {
 	w.Put(sets.NewSet("x"), 0.6)
 	w.Put(sets.NewSet(), 0.4)
 	pi.SetOPF("r", w)
-	gi, err := Enumerate(pi, 0)
+	gi, err := EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,13 +330,13 @@ func TestEnumerateUntypedLeafUnitFactor(t *testing.T) {
 // of the fully enumerated, probability-sorted world list.
 func TestTopKMatchesEnumeration(t *testing.T) {
 	pi := fixtures.Figure2VariedLeaves()
-	gi, err := Enumerate(pi, 0)
+	gi, err := EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := gi.Worlds()
 	for _, k := range []int{1, 3, 10, 500} {
-		top, err := TopK(pi, k, 0)
+		top, err := TopKCtx(context.Background(), pi, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,12 +378,12 @@ func TestQuickTopKMatchesEnumeration(t *testing.T) {
 		if pi.NumObjects() > 12 {
 			return true
 		}
-		gi, err := Enumerate(pi, 0)
+		gi, err := EnumerateCtx(context.Background(), pi, 0)
 		if err != nil {
 			return false
 		}
 		full := gi.Worlds()
-		top, err := TopK(pi, 3, 0)
+		top, err := TopKCtx(context.Background(), pi, 3, 0)
 		if err != nil {
 			return false
 		}
@@ -418,7 +419,7 @@ func TestTopKLargeInstance(t *testing.T) {
 		pi.SetOPF(prev, w)
 		prev = cur
 	}
-	top, err := TopK(pi, 2, 0)
+	top, err := TopKCtx(context.Background(), pi, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,17 +442,17 @@ func TestTopKLargeInstance(t *testing.T) {
 
 func TestTopKErrors(t *testing.T) {
 	pi := fixtures.Figure2()
-	if _, err := TopK(pi, 0, 0); err == nil {
+	if _, err := TopKCtx(context.Background(), pi, 0, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := TopK(pi, 5, 2); err == nil {
+	if _, err := TopKCtx(context.Background(), pi, 5, 2); err == nil {
 		t.Error("expansion cap not enforced")
 	}
 	cyc := core.NewProbInstance("r")
 	cyc.SetLCh("r", "l", "a")
 	cyc.SetLCh("a", "l", "b")
 	cyc.SetLCh("b", "l", "a")
-	if _, err := TopK(cyc, 1, 0); err == nil {
+	if _, err := TopKCtx(context.Background(), cyc, 1, 0); err == nil {
 		t.Error("cyclic instance accepted")
 	}
 }
@@ -460,7 +461,7 @@ func TestTopKErrors(t *testing.T) {
 // converges to the exact possible-worlds distribution.
 func TestSampleDistribution(t *testing.T) {
 	pi := fixtures.Figure2VariedLeaves()
-	gi, err := Enumerate(pi, 0)
+	gi, err := EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,14 +499,14 @@ func TestSampleDistribution(t *testing.T) {
 // exact probability within its reported error.
 func TestEstimateProbMatchesExact(t *testing.T) {
 	pi := fixtures.Figure2()
-	gi, err := Enumerate(pi, 0)
+	gi, err := EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pred := func(s *model.Instance) bool { return s.HasObject("A1") && s.HasObject("I1") }
 	exact := gi.ProbWhere(pred)
 	r := rand.New(rand.NewSource(7))
-	est, err := EstimateProb(pi, pred, 20000, r)
+	est, err := EstimateProbCtx(context.Background(), pi, pred, 20000, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +519,7 @@ func TestEstimateProbMatchesExact(t *testing.T) {
 	if est.String() == "" {
 		t.Error("empty String")
 	}
-	if _, err := EstimateProb(pi, pred, 0, r); err == nil {
+	if _, err := EstimateProbCtx(context.Background(), pi, pred, 0, r); err == nil {
 		t.Error("n=0 accepted")
 	}
 }

@@ -46,23 +46,20 @@ func (h *topkHeap) Pop() (out any) {
 	return out
 }
 
-// TopK returns the k most probable compatible instances of a probabilistic
+// TopKCtx returns the k most probable compatible instances of a probabilistic
 // instance without enumerating Domain(I): a best-first (uniform-cost)
 // search over partial choice assignments in topological order. Because
 // every unresolved local factor is ≤ 1, a partial assignment's probability
 // upper-bounds all of its completions, so the first k completed states
 // popped from the max-heap are exactly the k most probable worlds — the
 // answer to "what does this data most likely look like?" on instances far
-// too large for Enumerate.
+// too large for EnumerateCtx.
 //
 // maxExpansions bounds the search (≤ 0 for a default of ~1M pops); the
 // search typically needs O(k · |V|) expansions but can degenerate when the
 // local distributions are near-uniform.
-func TopK(pi *core.ProbInstance, k int, maxExpansions int) ([]World, error) {
-	return TopKCtx(context.Background(), pi, k, maxExpansions)
-}
-
-// TopKCtx is TopK under a context-carried resource governor: every pop
+//
+// Under a context-carried resource governor (govern.From) every pop
 // charges one work unit plus the entries scanned to expand it, so a
 // degenerate (near-uniform) search stops at its budget or cancellation
 // instead of grinding through the full expansion cap.

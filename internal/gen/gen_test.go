@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestGenerateSmallCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, err := enumerate.Enumerate(in.PI, 0)
+	gi, err := enumerate.EnumerateCtx(context.Background(), in.PI, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestRandomQuerySatisfiable(t *testing.T) {
 		}
 		// The existence probability of an accepted query is positive
 		// (all generated local probabilities are positive).
-		e, err := query.ExistsQuery(in.PI, p)
+		e, err := query.ExistsQueryIndexedCtx(context.Background(), in.PI, nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}

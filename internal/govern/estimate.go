@@ -10,7 +10,7 @@ import (
 // Profile is the upfront width/cost estimate for one probabilistic
 // instance: the structural quantities that determine how expensive
 // inference can get, computed in O(objects + OPF entries) without
-// allocating any factor tables. MaxCPTCells mirrors bayes.Compile's
+// allocating any factor tables. MaxCPTCells mirrors bayes.CompileCtx's
 // CPT construction cell for cell, so "Profile says it fits" and "the
 // compile's own pre-allocation guard passes" agree.
 //
@@ -32,7 +32,7 @@ type Profile struct {
 	// the dominant per-sample and per-ε-pass scan cost.
 	TotalOPFEntries int64
 	// MaxCPTCells is the cell count of the largest conditional
-	// probability table bayes.Compile would materialize.
+	// probability table bayes.CompileCtx would materialize.
 	MaxCPTCells float64
 	// TotalCPTCells sums predicted CPT cells over the compiled network —
 	// a lower bound on exact-inference work before elimination even starts.
@@ -56,7 +56,7 @@ func Measure(pi *core.ProbInstance) Profile {
 	}
 	p.Objects = len(reach)
 
-	// First pass: per-object BN state counts, mirroring bayes.Compile
+	// First pass: per-object BN state counts, mirroring bayes.CompileCtx
 	// (positive OPF entries for interior objects, positive VPF entries
 	// or a single "present" state for leaves, +1 absent for non-roots).
 	states := make(map[model.ObjectID]int, len(reach))

@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -233,7 +234,7 @@ func TestFromPointCollapses(t *testing.T) {
 		cur = ps[0]
 	}
 	p := pathexpr.Path{Root: pi.Root(), Labels: labels}
-	want, err := query.PointQuery(pi, p, o)
+	want, err := query.PointQueryIndexedCtx(context.Background(), pi, nil, p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,14 +310,14 @@ func TestQuickSampledInstancesWithinBounds(t *testing.T) {
 			if pt.ValidateLite() != nil {
 				return false
 			}
-			pq, err := query.PointQuery(pt, p, o)
+			pq, err := query.PointQueryIndexedCtx(context.Background(), pt, nil, p, o)
 			if err != nil {
 				return false
 			}
 			if !pb.Contains(pq) {
 				return false
 			}
-			eq, err := query.ExistsQuery(pt, p)
+			eq, err := query.ExistsQueryIndexedCtx(context.Background(), pt, nil, p)
 			if err != nil {
 				return false
 			}

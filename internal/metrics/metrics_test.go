@@ -32,25 +32,27 @@ func TestGauge(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
-	h.Observe(50 * time.Microsecond)  // le_100us
-	h.Observe(500 * time.Microsecond) // le_1ms
-	h.Observe(2 * time.Millisecond)   // le_10ms
-	h.Observe(time.Minute)            // inf
+	var h IntHistogram
+	h.Observe(1)   // le_1
+	h.Observe(3)   // le_4
+	h.Observe(100) // le_128
+	h.Observe(500) // inf
+	h.Observe(-7)  // clamped to 0 → le_1
 	s := h.Snapshot()
-	if s.Count != 4 {
-		t.Fatalf("count = %d", s.Count)
+	if s.Count != 5 || s.Sum != 604 || s.Max != 500 {
+		t.Fatalf("count/sum/max = %d/%d/%d", s.Count, s.Sum, s.Max)
 	}
-	for _, b := range []string{"le_100us", "le_1ms", "le_10ms", "inf"} {
-		if s.Bucket[b] != 1 {
-			t.Errorf("bucket %s = %d, want 1 (%v)", b, s.Bucket[b], s.Bucket)
+	want := map[string]int64{"le_1": 2, "le_4": 1, "le_128": 1, "inf": 1}
+	for b, n := range want {
+		if s.Bucket[b] != n {
+			t.Errorf("bucket %s = %d, want %d (%v)", b, s.Bucket[b], n, s.Bucket)
 		}
 	}
-	if s.MaxMS < 59_000 {
-		t.Errorf("max_ms = %v", s.MaxMS)
+	if len(s.Bucket) != len(want) {
+		t.Errorf("buckets = %v, want only %v", s.Bucket, want)
 	}
-	if s.MeanMS <= 0 {
-		t.Errorf("mean_ms = %v", s.MeanMS)
+	if s.Mean != 604.0/5 {
+		t.Errorf("mean = %v", s.Mean)
 	}
 }
 
@@ -58,7 +60,7 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("queries").Add(3)
 	r.Gauge("inflight").Set(2)
-	r.Histogram("latency").Observe(time.Millisecond)
+	r.Timer("latency").Observe(time.Millisecond)
 	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +76,8 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 		t.Errorf("inflight = %v", back["inflight"])
 	}
 	lat := back["latency"].(map[string]any)
-	if lat["count"].(float64) != 1 {
-		t.Errorf("latency count = %v", lat["count"])
+	if lat["count"].(float64) != 1 || lat["max_ms"].(float64) != 1 || lat["p99_ms"].(float64) != 1 {
+		t.Errorf("latency = %v", lat)
 	}
 	names := r.Names()
 	if len(names) != 3 || names[0] != "inflight" || names[1] != "latency" || names[2] != "queries" {
@@ -92,7 +94,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
-				r.Histogram("h").Observe(time.Duration(j) * time.Microsecond)
+				r.Timer("h").Observe(time.Duration(j) * time.Microsecond)
 			}
 		}()
 	}
@@ -100,7 +102,7 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Fatalf("counter = %d", got)
 	}
-	if got := r.Histogram("h").Snapshot().Count; got != 8000 {
-		t.Fatalf("histogram count = %d", got)
+	if got := r.Timer("h").Snapshot().Count; got != 8000 {
+		t.Fatalf("timer count = %d", got)
 	}
 }

@@ -6,8 +6,7 @@ import (
 	"time"
 )
 
-// Timer is a percentile-capable latency histogram. Where Histogram's seven
-// decade buckets are enough for a coarse shape, Timer records observations
+// Timer is a percentile-capable latency histogram. It records observations
 // into fine-grained exponential buckets (timerPerDecade per decade between
 // 1µs and 1000s) so p50/p95/p99 can be read back with a bounded relative
 // error of about ±6% — tight enough that a 263ns cached point query and a

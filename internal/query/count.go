@@ -10,7 +10,7 @@ import (
 	"pxml/internal/pathexpr"
 )
 
-// CountDistribution computes the exact probability distribution of
+// CountDistributionCtx computes the exact probability distribution of
 // |{o : o ∈ p}| — how many objects satisfy the path expression in a
 // possible world — on a tree-structured instance. It is the aggregate
 // counterpart of the existence query: a bottom-up convolution over the
@@ -18,15 +18,10 @@ import (
 // node's distribution has at most #matched+1 entries).
 //
 // The result maps counts to probabilities and always sums to one (count 0
-// collects the no-match worlds).
-func CountDistribution(pi *core.ProbInstance, p pathexpr.Path) (map[int]float64, error) {
-	return CountDistributionCtx(context.Background(), pi, p)
-}
-
-// CountDistributionCtx is CountDistribution under a context-carried
-// resource governor: each convolution product is charged against the
-// step budget before it is computed, so a wide plan stops within one
-// OPF entry of exhausting its budget or being cancelled.
+// collects the no-match worlds). Under a context-carried resource governor
+// each convolution product is charged against the step budget before it
+// is computed, so a wide plan stops within one OPF entry of exhausting its
+// budget or being cancelled.
 func CountDistributionCtx(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path) (map[int]float64, error) {
 	gov := govern.From(ctx)
 	if !pi.IsTree() {
@@ -107,7 +102,7 @@ func CountDistributionCtx(ctx context.Context, pi *core.ProbInstance, p pathexpr
 // probabilities, which the implementation cross-checks cheaply against the
 // full distribution.
 func ExpectedCount(pi *core.ProbInstance, p pathexpr.Path) (float64, error) {
-	d, err := CountDistribution(pi, p)
+	d, err := CountDistributionCtx(context.Background(), pi, p)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,7 +48,7 @@ func TestQuickExistenceMarginalsMatchOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gi, err := enumerate.Enumerate(pi, 0)
+		gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 		if err != nil {
 			return false
 		}

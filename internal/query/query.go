@@ -3,11 +3,13 @@
 // queries ("what is the probability that object o satisfies path expression
 // p?", Definition 6.1) and their extension to existence queries ("what is
 // the probability that some object satisfies p?"), plus value-existence
-// queries combining a path with a leaf value.
+// queries combining a path with a leaf value — the ε lane of inference.
 //
-// The fast algorithms assume a tree-structured weak instance graph, exactly
-// as Section 6 does. For DAG instances use the bayes package (exact
-// variable-elimination inference) or the enumeration oracle.
+// The ε algorithms assume a tree-structured weak instance graph, exactly
+// as Section 6 does. The *IndexedCtx kernels leave that check to their
+// caller: internal/engine routes a query here only after its cached tree
+// classification says so, and sends DAG instances to the bayes package
+// (exact variable-elimination inference) instead.
 package query
 
 import (
@@ -56,29 +58,6 @@ func ChainProb(pi *core.ProbInstance, chain []model.ObjectID) (float64, error) {
 	return p, nil
 }
 
-// PointQuery computes the Definition 6.1 probabilistic point query: the
-// probability that object o satisfies path expression p in a compatible
-// instance. Per Section 6.2 it extracts o and its path ancestors and
-// evaluates ε_r over that restriction; in a tree that restriction is the
-// unique root chain of o.
-func PointQuery(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float64, error) {
-	if !pi.IsTree() {
-		return 0, ErrNotTree
-	}
-	return epsilonRoot(pi, nil, p, map[model.ObjectID]bool{o: true}, nil, nil)
-}
-
-// ExistsQuery computes the extension the paper describes at the end of
-// Section 6.2: the probability that some object satisfies p. It keeps all
-// objects satisfying the path expression together with their path
-// ancestors and computes ε_r bottom-up.
-func ExistsQuery(pi *core.ProbInstance, p pathexpr.Path) (float64, error) {
-	if !pi.IsTree() {
-		return 0, ErrNotTree
-	}
-	return epsilonRoot(pi, nil, p, nil, nil, nil)
-}
-
 // ValueExistsQuery computes the probability that some leaf satisfying p
 // carries value v — the probabilistic reading of the value selection
 // condition val(p) = v. Matched leaves succeed with probability VPF(v);
@@ -87,27 +66,7 @@ func ValueExistsQuery(pi *core.ProbInstance, p pathexpr.Path, v model.Value) (fl
 	if !pi.IsTree() {
 		return 0, ErrNotTree
 	}
-	success := func(o model.ObjectID) float64 {
-		if vpf := pi.VPF(o); vpf != nil {
-			return vpf.Prob(v)
-		}
-		return 0
-	}
-	return epsilonRoot(pi, nil, p, nil, success, nil)
-}
-
-// ValuePointQuery computes P(o ∈ p ∧ val(o) = v) for a specific leaf o.
-func ValuePointQuery(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID, v model.Value) (float64, error) {
-	if !pi.IsTree() {
-		return 0, ErrNotTree
-	}
-	success := func(m model.ObjectID) float64 {
-		if vpf := pi.VPF(m); vpf != nil {
-			return vpf.Prob(v)
-		}
-		return 0
-	}
-	return epsilonRoot(pi, nil, p, map[model.ObjectID]bool{o: true}, success, nil)
+	return epsilonRoot(pi, nil, p, nil, valueSuccess(pi, v), nil)
 }
 
 // epsilonRoot runs the ε recursion of Section 6.1/6.2 over the plan of p

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -104,7 +105,7 @@ func TestChainProbDAG(t *testing.T) {
 		t.Errorf("chain = %v, want %v", p, want)
 	}
 	// Oracle check.
-	gi, err := enumerate.Enumerate(pi, 0)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestChainProbDAG(t *testing.T) {
 
 func TestPointQuery(t *testing.T) {
 	pi := chainTree(t)
-	p, err := PointQuery(pi, pathexpr.MustParse("r.a.b"), "u")
+	p, err := PointQueryIndexedCtx(context.Background(), pi, nil, pathexpr.MustParse("r.a.b"), "u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestPointQuery(t *testing.T) {
 		t.Errorf("point query = %v, want 0.42", p)
 	}
 	// Point query for an object that does not satisfy the path.
-	p, err = PointQuery(pi, pathexpr.MustParse("r.a"), "u")
+	p, err = PointQueryIndexedCtx(context.Background(), pi, nil, pathexpr.MustParse("r.a"), "u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +135,14 @@ func TestPointQuery(t *testing.T) {
 		t.Errorf("mismatched point query = %v", p)
 	}
 	// Wrong root.
-	if p, _ := PointQuery(pi, pathexpr.MustParse("z.a"), "x"); p != 0 {
+	if p, _ := PointQueryIndexedCtx(context.Background(), pi, nil, pathexpr.MustParse("z.a"), "x"); p != 0 {
 		t.Errorf("wrong-root point query = %v", p)
 	}
 	// Bare-root path.
-	if p, _ := PointQuery(pi, pathexpr.MustParse("r"), "r"); p != 1 {
+	if p, _ := PointQueryIndexedCtx(context.Background(), pi, nil, pathexpr.MustParse("r"), "r"); p != 1 {
 		t.Errorf("root point query = %v", p)
 	}
-	if p, _ := PointQuery(pi, pathexpr.MustParse("r"), "x"); p != 0 {
+	if p, _ := PointQueryIndexedCtx(context.Background(), pi, nil, pathexpr.MustParse("r"), "x"); p != 0 {
 		t.Errorf("root path, non-root object = %v", p)
 	}
 }
@@ -150,7 +151,7 @@ func TestPointQuery(t *testing.T) {
 // probability of the unique root path.
 func TestPointQueryEqualsChainProb(t *testing.T) {
 	pi := chainTree(t)
-	pq, err := PointQuery(pi, pathexpr.MustParse("r.a.b"), "v")
+	pq, err := PointQueryIndexedCtx(context.Background(), pi, nil, pathexpr.MustParse("r.a.b"), "v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestExistsQuery(t *testing.T) {
 	// P(some object satisfies r.a.b) = 1 − P(no leaf reachable):
 	// fail = Σ_c ω(r)(c) Π (1−ε); ε_x = 0.6, ε_y = 0.5.
 	want := 1 - (0.1 + 0.3*0.4 + 0.2*0.5 + 0.4*0.4*0.5)
-	p, err := ExistsQuery(pi, pathexpr.MustParse("r.a.b"))
+	p, err := ExistsQueryIndexedCtx(context.Background(), pi, nil, pathexpr.MustParse("r.a.b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestExistsQuery(t *testing.T) {
 		t.Errorf("exists = %v, want %v", p, want)
 	}
 	// Oracle check.
-	gi, err := enumerate.Enumerate(pi, 0)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestExistsQuery(t *testing.T) {
 		t.Errorf("exists = %v, oracle = %v", p, oracle)
 	}
 	// Unsatisfiable path.
-	if p, _ := ExistsQuery(pi, pathexpr.MustParse("r.zz")); p != 0 {
+	if p, _ := ExistsQueryIndexedCtx(context.Background(), pi, nil, pathexpr.MustParse("r.zz")); p != 0 {
 		t.Errorf("unsatisfiable exists = %v", p)
 	}
 }
@@ -201,7 +202,7 @@ func TestValueQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, err := enumerate.Enumerate(pi, 0)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestValueQueries(t *testing.T) {
 	}
 
 	// Specific leaf.
-	pv, err := ValuePointQuery(pi, path, "u", "1")
+	pv, err := ValuePointQueryIndexedCtx(context.Background(), pi, nil, path, "u", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,19 +236,16 @@ func TestValueQueries(t *testing.T) {
 	}
 }
 
+// TestQueriesRejectDAG covers the kernels that check the tree shape
+// themselves; the *IndexedCtx kernels leave that check to their caller
+// (the engine's router, the pxml facade).
 func TestQueriesRejectDAG(t *testing.T) {
 	pi := fixtures.Figure2()
-	if _, err := PointQuery(pi, pathexpr.MustParse("R.book"), "B1"); err != ErrNotTree {
-		t.Fatalf("PointQuery err = %v", err)
-	}
-	if _, err := ExistsQuery(pi, pathexpr.MustParse("R.book")); err != ErrNotTree {
-		t.Fatalf("ExistsQuery err = %v", err)
-	}
 	if _, err := ValueExistsQuery(pi, pathexpr.MustParse("R.book.title"), "Lore"); err != ErrNotTree {
 		t.Fatalf("ValueExistsQuery err = %v", err)
 	}
-	if _, err := ValuePointQuery(pi, pathexpr.MustParse("R.book.title"), "T2", "Lore"); err != ErrNotTree {
-		t.Fatalf("ValuePointQuery err = %v", err)
+	if _, err := CountDistributionCtx(context.Background(), pi, pathexpr.MustParse("R.book")); err != ErrNotTree {
+		t.Fatalf("CountDistributionCtx err = %v", err)
 	}
 }
 
@@ -263,11 +261,11 @@ func TestQuickPointQueryMatchesOracle(t *testing.T) {
 		objs := pi.Objects()
 		o := objs[r.Intn(len(objs))]
 		p := rootPath(pi, o)
-		got, err := PointQuery(pi, p, o)
+		got, err := PointQueryIndexedCtx(context.Background(), pi, nil, p, o)
 		if err != nil {
 			return false
 		}
-		gi, err := enumerate.Enumerate(pi, 0)
+		gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 		if err != nil {
 			return false
 		}
@@ -293,11 +291,11 @@ func TestQuickExistsQueryMatchesOracle(t *testing.T) {
 		for i := 0; i < 1+r.Intn(3); i++ {
 			p.Labels = append(p.Labels, labels[r.Intn(len(labels))])
 		}
-		got, err := ExistsQuery(pi, p)
+		got, err := ExistsQueryIndexedCtx(context.Background(), pi, nil, p)
 		if err != nil {
 			return false
 		}
-		gi, err := enumerate.Enumerate(pi, 0)
+		gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 		if err != nil {
 			return false
 		}
@@ -329,7 +327,7 @@ func TestQuickValueExistsMatchesOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gi, err := enumerate.Enumerate(pi, 0)
+		gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 		if err != nil {
 			return false
 		}
@@ -370,7 +368,7 @@ func rootPath(pi *core.ProbInstance, o model.ObjectID) pathexpr.Path {
 func TestCountDistributionChainTree(t *testing.T) {
 	pi := chainTree(t)
 	p := pathexpr.MustParse("r.a.b")
-	d, err := CountDistribution(pi, p)
+	d, err := CountDistributionCtx(context.Background(), pi, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +379,7 @@ func TestCountDistributionChainTree(t *testing.T) {
 	if !approx(total, 1) {
 		t.Errorf("count distribution mass = %v", total)
 	}
-	gi, err := enumerate.Enumerate(pi, 0)
+	gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,8 +396,8 @@ func TestCountDistributionChainTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, _ := PointQuery(pi, p, "u")
-	pv, _ := PointQuery(pi, p, "v")
+	pu, _ := PointQueryIndexedCtx(context.Background(), pi, nil, p, "u")
+	pv, _ := PointQueryIndexedCtx(context.Background(), pi, nil, p, "v")
 	if !approx(e, pu+pv) {
 		t.Errorf("E[count] = %v, want %v", e, pu+pv)
 	}
@@ -408,22 +406,22 @@ func TestCountDistributionChainTree(t *testing.T) {
 func TestCountDistributionEdgeCases(t *testing.T) {
 	pi := chainTree(t)
 	// No match.
-	d, err := CountDistribution(pi, pathexpr.MustParse("r.zz"))
+	d, err := CountDistributionCtx(context.Background(), pi, pathexpr.MustParse("r.zz"))
 	if err != nil || !approx(d[0], 1) {
 		t.Errorf("no-match distribution = %v err=%v", d, err)
 	}
 	// Bare root.
-	d, err = CountDistribution(pi, pathexpr.MustParse("r"))
+	d, err = CountDistributionCtx(context.Background(), pi, pathexpr.MustParse("r"))
 	if err != nil || !approx(d[1], 1) {
 		t.Errorf("root distribution = %v err=%v", d, err)
 	}
 	// Wrong root.
-	d, err = CountDistribution(pi, pathexpr.MustParse("z.a"))
+	d, err = CountDistributionCtx(context.Background(), pi, pathexpr.MustParse("z.a"))
 	if err != nil || !approx(d[0], 1) {
 		t.Errorf("wrong-root distribution = %v err=%v", d, err)
 	}
 	// DAG rejected.
-	if _, err := CountDistribution(fixtures.Figure2(), pathexpr.MustParse("R.book")); err != ErrNotTree {
+	if _, err := CountDistributionCtx(context.Background(), fixtures.Figure2(), pathexpr.MustParse("R.book")); err != ErrNotTree {
 		t.Errorf("DAG err = %v", err)
 	}
 }
@@ -442,11 +440,11 @@ func TestQuickCountDistributionMatchesOracle(t *testing.T) {
 		for i := 0; i < 1+r.Intn(3); i++ {
 			p.Labels = append(p.Labels, labels[r.Intn(len(labels))])
 		}
-		d, err := CountDistribution(pi, p)
+		d, err := CountDistributionCtx(context.Background(), pi, p)
 		if err != nil {
 			return false
 		}
-		gi, err := enumerate.Enumerate(pi, 0)
+		gi, err := enumerate.EnumerateCtx(context.Background(), pi, 0)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -72,9 +73,9 @@ func TestDoCachesSuccess(t *testing.T) {
 	calls := 0
 	compute := func() (any, int64, error) { calls++; return 42, 8, nil }
 	for i := 0; i < 3; i++ {
-		v, err := c.Do("k", compute)
+		v, err := c.DoCtx(context.Background(), "k", compute)
 		if err != nil || v.(int) != 42 {
-			t.Fatalf("Do = %v, %v", v, err)
+			t.Fatalf("DoCtx = %v, %v", v, err)
 		}
 	}
 	if calls != 1 {
@@ -90,10 +91,10 @@ func TestDoErrorNotCached(t *testing.T) {
 	c := New(1 << 20)
 	boom := errors.New("boom")
 	calls := 0
-	if _, err := c.Do("k", func() (any, int64, error) { calls++; return nil, 0, boom }); !errors.Is(err, boom) {
+	if _, err := c.DoCtx(context.Background(), "k", func() (any, int64, error) { calls++; return nil, 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if v, err := c.Do("k", func() (any, int64, error) { calls++; return 7, 8, nil }); err != nil || v.(int) != 7 {
+	if v, err := c.DoCtx(context.Background(), "k", func() (any, int64, error) { calls++; return 7, 8, nil }); err != nil || v.(int) != 7 {
 		t.Fatalf("retry = %v, %v", v, err)
 	}
 	if calls != 2 {
@@ -106,8 +107,8 @@ func TestDoNegativeCostNotCached(t *testing.T) {
 	calls := 0
 	compute := func() (any, int64, error) { calls++; return "big", -1, nil }
 	for i := 0; i < 2; i++ {
-		if v, err := c.Do("k", compute); err != nil || v.(string) != "big" {
-			t.Fatalf("Do = %v, %v", v, err)
+		if v, err := c.DoCtx(context.Background(), "k", compute); err != nil || v.(string) != "big" {
+			t.Fatalf("DoCtx = %v, %v", v, err)
 		}
 	}
 	if calls != 2 {
@@ -126,7 +127,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.Do("k", func() (any, int64, error) {
+			v, err := c.DoCtx(context.Background(), "k", func() (any, int64, error) {
 				calls.Add(1)
 				<-gate // hold the flight open so everyone piles on
 				return "shared", 8, nil
@@ -184,7 +185,7 @@ func TestConcurrentMixed(t *testing.T) {
 				case 1:
 					c.Get(k)
 				default:
-					c.Do(k, func() (any, int64, error) { return i, 32, nil })
+					c.DoCtx(context.Background(), k, func() (any, int64, error) { return i, 32, nil })
 				}
 			}
 		}(g)

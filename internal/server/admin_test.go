@@ -13,8 +13,8 @@ import (
 )
 
 func TestAdminBackupEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewPersistent(dir)
+	root := t.TempDir()
+	s, err := New(Config{StoreDir: t.TempDir(), BackupRoot: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +22,6 @@ func TestAdminBackupEndpoint(t *testing.T) {
 	if err := s.Put("bib", fixtures.Figure2()); err != nil {
 		t.Fatal(err)
 	}
-	root := t.TempDir()
-	s.SetBackupRoot(root)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -54,7 +52,7 @@ func TestAdminBackupEndpoint(t *testing.T) {
 	if _, err := store.Restore(bdir, target, store.RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewPersistent(target)
+	r, err := New(Config{StoreDir: target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,22 +69,26 @@ func TestAdminBackupEndpoint(t *testing.T) {
 }
 
 func TestAdminBackupConfinedToRoot(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewPersistent(dir)
+	// Without a configured backup root the endpoint is disabled outright.
+	s0, err := New(Config{StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s0.Close()
+	ts0 := httptest.NewServer(s0.Handler())
+	defer ts0.Close()
+	resp, body := do(t, "POST", ts0.URL+"/admin/backup?dir=x", "", "application/json")
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("backup without root: status %d: %s", resp.StatusCode, body)
+	}
+
+	s, err := New(Config{StoreDir: t.TempDir(), BackupRoot: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-
-	// Without a configured backup root the endpoint is disabled outright.
-	resp, body := do(t, "POST", ts.URL+"/admin/backup?dir=x", "", "application/json")
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("backup without root: status %d: %s", resp.StatusCode, body)
-	}
-
-	s.SetBackupRoot(t.TempDir())
 	for _, dest := range []string{"/etc/pxml-pwned", "../escape", "a/../../escape", ".", "sub/.."} {
 		resp, body := do(t, "POST", ts.URL+"/admin/backup?dir="+url.QueryEscape(dest), "", "application/json")
 		if resp.StatusCode != http.StatusBadRequest {
@@ -116,8 +118,7 @@ func TestAdminBackupWithoutStore(t *testing.T) {
 }
 
 func TestAdminScrubEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewPersistent(dir)
+	s, err := New(Config{StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

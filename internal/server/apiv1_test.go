@@ -347,9 +347,6 @@ func TestConfigValidatesQuotasAndTelemetry(t *testing.T) {
 	if _, err := New(Config{StatsdAddr: "sink:8125", StatsdNetwork: "carrier-pigeon"}); err == nil {
 		t.Error("New accepted unsupported statsd network")
 	}
-	if _, err := New(Config{StoreDir: "a", FilesDir: "b"}); err == nil {
-		t.Error("New accepted StoreDir+FilesDir together")
-	}
 }
 
 // TestPerEndpointTimersCoverRoutes spot-checks that distinct routes land

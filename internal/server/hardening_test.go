@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -69,7 +68,7 @@ func TestHealthzAndReadyz(t *testing.T) {
 // every fsync fails, yet the service stays up read-only.
 func TestDegradedStoreKeepsServingReads(t *testing.T) {
 	ffs := vfs.NewFaultFS(nil)
-	s, _, err := NewWithStore(t.TempDir(), store.Options{Fsync: store.FsyncAlways, FS: ffs})
+	s, err := New(Config{StoreDir: t.TempDir(), StoreOptions: store.Options{Fsync: store.FsyncAlways, FS: ffs}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,98 +154,96 @@ func TestDegradedStoreKeepsServingReads(t *testing.T) {
 	}
 }
 
-func TestInflightLimiterSheds(t *testing.T) {
-	s := MustNew(Config{})
-	s.SetMaxInflight(1)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var enteredOnce sync.Once
-	h := s.limitInflight(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		enteredOnce.Do(func() { close(entered) })
-		<-release
-		w.WriteHeader(http.StatusOK)
-	}))
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	errc := make(chan error, 1)
-	go func() {
-		resp, err := http.Get(ts.URL)
-		if resp != nil {
-			resp.Body.Close()
-		}
-		errc <- err
-	}()
-	<-entered
-
-	// The slot is taken: the next request is shed, not queued.
-	resp, err := http.Get(ts.URL)
+// occupySlot parks one admitted API request inside the real handler — a
+// PUT whose body has not arrived yet — and waits until admission counts
+// it in flight. finish sends the body and returns the PUT's status. The
+// caller closes its test server through t.Cleanup, which then runs after
+// the cleanup here has unblocked a request left parked by a failure.
+func occupySlot(t *testing.T, s *Server, url string) (finish func() int) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() })
+	req, err := http.NewRequest(http.MethodPut, url+"/v1/instances/slow", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.adm.State().Inflight != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("parked PUT never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() int {
+		io.WriteString(pw, figure2Text(t))
+		pw.Close()
+		return <-status
+	}
+}
+
+func TestInflightLimiterSheds(t *testing.T) {
+	s := MustNew(Config{MaxInflight: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	finish := occupySlot(t, s, ts.URL)
+
+	// The slot is taken: the next request is shed, not queued.
+	resp, body := do(t, "GET", ts.URL+"/v1/instances", "", "")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second request = %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("429 missing Retry-After (body %q)", body)
 	}
+	if !strings.Contains(body, `"code":"overloaded"`) {
+		t.Fatalf("429 body = %s, want code overloaded", body)
+	}
 	if got := s.reg.Counter("http_shed").Value(); got != 1 {
 		t.Fatalf("http_shed = %d, want 1", got)
 	}
 
-	close(release)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	if got := finish(); got != http.StatusCreated {
+		t.Fatalf("parked PUT = %d, want 201", got)
 	}
 	// Slot free again: requests pass.
-	resp, err = http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("request after release = %d, want 200", resp.StatusCode)
+	if resp, body := do(t, "GET", ts.URL+"/v1/instances", "", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after release = %d, want 200: %s", resp.StatusCode, body)
 	}
 }
 
 func TestHealthProbesBypassLimiter(t *testing.T) {
-	s, _ := newTestServer(t)
-	s.SetMaxInflight(1)
-	entered := make(chan struct{})
-	release := make(chan struct{})
+	s := MustNew(Config{MaxInflight: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	finish := occupySlot(t, s, ts.URL)
 
-	// Rebuild the handler with a hook occupying the API slot.
-	api := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		close(entered)
-		<-release
-	})
-	root := http.NewServeMux()
-	root.HandleFunc("GET /healthz", s.handleHealthz)
-	root.HandleFunc("GET /readyz", s.handleReadyz)
-	root.Handle("/", s.limitInflight(api))
-	ts := httptest.NewServer(root)
-	defer ts.Close()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, err := http.Get(ts.URL + "/instances")
-		if err == nil {
-			resp.Body.Close()
-		}
-	}()
-	<-entered
+	if resp, _ := do(t, "GET", ts.URL+"/v1/instances", "", ""); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("API request under saturation = %d, want 429", resp.StatusCode)
+	}
 	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz under saturation = %d, want 200", resp.StatusCode)
 	}
 	if resp, _ := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz under saturation = %d, want 200", resp.StatusCode)
 	}
-	// Unblock the parked request before ts.Close waits on it.
-	close(release)
-	<-done
+	// Admin endpoints bypass admission, so operators can still inspect
+	// and loosen quotas while the API sheds.
+	if resp, body := do(t, "GET", ts.URL+"/v1/admin/quotas", "", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("admin quotas under saturation = %d, want 200: %s", resp.StatusCode, body)
+	}
+	if got := finish(); got != http.StatusCreated {
+		t.Fatalf("parked PUT = %d, want 201", got)
+	}
 }
 
 func TestPanicRecovery(t *testing.T) {
@@ -280,12 +277,11 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 func TestRequestDeadlineAnswers503(t *testing.T) {
-	s, ts := newTestServer(t)
+	// The deadline expires before the engine runs.
+	s := MustNew(Config{RequestTimeout: time.Nanosecond})
 	if err := s.Put("fig", fixtures.Figure2()); err != nil {
 		t.Fatal(err)
 	}
-	s.SetRequestTimeout(time.Nanosecond) // expires before the engine runs
-	ts.Close()
 	ts2 := httptest.NewServer(s.Handler())
 	defer ts2.Close()
 

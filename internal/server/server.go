@@ -17,7 +17,7 @@
 //	POST   /admin/backup              cut an online backup of the durable
 //	                                  store into a subdirectory of the
 //	                                  configured backup root (403 until
-//	                                  SetBackupRoot / pxmld -backup-dir)
+//	                                  Config.BackupRoot / pxmld -backup-dir)
 //	POST   /admin/scrub               synchronous checksum scrub of the
 //	                                  store's at-rest files
 //	GET    /healthz                   liveness: 200 while the process runs
@@ -31,10 +31,11 @@
 // expired request deadlines and writes against a degraded store).
 //
 // The handler stack is hardened for production traffic: a panic in any
-// handler is recovered to a 500 (and counted), SetRequestTimeout bounds
-// each request with a context deadline, and SetMaxInflight sheds excess
-// concurrent requests with 429 + Retry-After instead of queueing without
-// bound. Health probes bypass the limiter so liveness checks still answer
+// handler is recovered to a 500 (and counted), Config.RequestTimeout
+// bounds each request with a context deadline, and Config.MaxInflight
+// caps concurrent API requests through the admission controller, which
+// sheds the excess with 429 + Retry-After instead of queueing without
+// bound. Health probes bypass admission so liveness checks still answer
 // under overload. When the backing store degrades (unrecoverable disk
 // errors), writes fail fast with 503 while reads and queries keep serving
 // from memory — the catalog never silently diverges from disk.
@@ -56,7 +57,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -82,7 +82,7 @@ import (
 	"pxml/internal/telemetry"
 )
 
-// defaultMaxBody bounds instance-upload bodies unless SetMaxBody overrides.
+// defaultMaxBody bounds instance-upload bodies unless Config.MaxBody overrides.
 const defaultMaxBody = 64 << 20
 
 // defaultResultCacheBytes bounds the shared query-result cache.
@@ -92,8 +92,7 @@ const defaultResultCacheBytes = 32 << 20
 const maxStatementBytes = 1 << 20
 
 // Server is a concurrency-safe catalog of named query engines, optionally
-// backed by the durable storage engine (see NewPersistent) or, for the
-// legacy layout, by a directory of flat text files (NewPersistentFiles).
+// backed by the durable storage engine (see Config.StoreDir).
 type Server struct {
 	mu sync.RWMutex
 	// engines is the published engine registry: an immutable map behind
@@ -104,8 +103,7 @@ type Server struct {
 	// servers build engines on demand: a name missing here but live in
 	// the store materializes through Engine's slow path.
 	engines    atomic.Pointer[map[string]*engine.Engine]
-	store      *store.Store // log-structured persistence; nil unless NewPersistent/NewWithStore
-	dir        string       // legacy flat-file persistence; "" unless NewPersistentFiles
+	store      *store.Store // log-structured persistence; nil unless Config.StoreDir
 	backupRoot string       // /admin/backup destination root; "" = endpoint disabled
 	maxBody    int64
 	log        *slog.Logger
@@ -120,7 +118,6 @@ type Server struct {
 	started    time.Time
 	draining   atomic.Bool
 	reqTimeout time.Duration // per-request deadline; 0 = none
-	sem        chan struct{} // in-flight limiter; nil = unlimited
 
 	reg      *metrics.Registry
 	requests *metrics.Counter
@@ -128,7 +125,7 @@ type Server struct {
 	shed     *metrics.Counter
 	panics   *metrics.Counter
 	inflight *metrics.Gauge
-	latency  *metrics.Histogram
+	latency  *metrics.Timer
 
 	// Runaway-query protection: budget is the per-query resource
 	// envelope every engine enforces; breaker sheds statement shapes
@@ -170,14 +167,16 @@ type Server struct {
 // serve time.
 type Config struct {
 	// StoreDir enables the durable log-structured store in this
-	// directory (see NewPersistent for recovery semantics).
+	// directory: writes go through a write-ahead log with periodic
+	// snapshots, and startup runs crash recovery (replaying
+	// snapshot-then-WAL, quarantining corrupt records, truncating torn
+	// tails; see RecoveryReport). A directory of legacy flat <name>.pxml
+	// files is migrated on first open. Names are restricted to
+	// [A-Za-z0-9_-]+ to keep durable artifacts unambiguous.
 	StoreDir string
 	// StoreOptions tunes the durable store; only read with StoreDir.
 	// Its Registry is overridden with the server's own.
 	StoreOptions store.Options
-	// FilesDir enables the legacy flat-file persistence layout instead.
-	// Mutually exclusive with StoreDir.
-	FilesDir string
 
 	// Logger enables structured request/lifecycle logging; nil disables.
 	Logger *slog.Logger
@@ -186,9 +185,10 @@ type Config struct {
 	// RequestTimeout bounds each API request with a context deadline;
 	// 0 disables.
 	RequestTimeout time.Duration
-	// MaxInflight caps concurrently served API requests; excess sheds
-	// with 429. 0 disables. Also the capacity the admission tier's
-	// fairness divides.
+	// MaxInflight caps concurrently served API requests (admin and
+	// health endpoints excepted); the admission controller sheds the
+	// excess with 429 overloaded, and divides this capacity fairly among
+	// tenants under overload. 0 disables.
 	MaxInflight int
 	// QueryWorkers bounds each engine's batch pool; 0 = engine default.
 	QueryWorkers int
@@ -293,9 +293,6 @@ type Config struct {
 // rest. The telemetry flush loop (if configured) starts immediately;
 // Close stops it.
 func New(cfg Config) (*Server, error) {
-	if cfg.StoreDir != "" && cfg.FilesDir != "" {
-		return nil, fmt.Errorf("server: StoreDir and FilesDir are mutually exclusive")
-	}
 	if cfg.FollowLeader != "" && cfg.StoreDir == "" {
 		return nil, fmt.Errorf("server: FollowLeader requires StoreDir (the replica's WAL mirror)")
 	}
@@ -334,7 +331,7 @@ func New(cfg Config) (*Server, error) {
 	s.shed = s.reg.Counter("http_shed")
 	s.panics = s.reg.Counter("http_panics")
 	s.inflight = s.reg.Gauge("http_inflight")
-	s.latency = s.reg.Histogram("http_latency")
+	s.latency = s.reg.Timer("http_latency")
 	s.qBudget = s.reg.Counter("query_budget_exceeded")
 	s.qIntract = s.reg.Counter("query_intractable")
 	s.qCancel = s.reg.Counter("query_cancelled")
@@ -352,9 +349,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	if cfg.RequestTimeout > 0 {
 		s.reqTimeout = cfg.RequestTimeout
-	}
-	if cfg.MaxInflight > 0 {
-		s.sem = make(chan struct{}, cfg.MaxInflight)
 	}
 	if cfg.QueryWorkers > 0 {
 		s.queryWorkers = cfg.QueryWorkers
@@ -402,8 +396,7 @@ func New(cfg Config) (*Server, error) {
 		s.outboundToken = cfg.AdminToken
 	}
 
-	switch {
-	case cfg.StoreDir != "":
+	if cfg.StoreDir != "" {
 		opts := cfg.StoreOptions
 		if opts.Registry == nil {
 			opts.Registry = s.reg
@@ -426,10 +419,6 @@ func New(cfg Config) (*Server, error) {
 		// Engines build lazily: Engine's slow path materializes one on a
 		// name's first query. Cold open therefore costs the store's
 		// frame scan, not a full decode + engine build per instance.
-	case cfg.FilesDir != "":
-		if err := s.loadFlatFiles(cfg.FilesDir); err != nil {
-			return nil, err
-		}
 	}
 
 	if cfg.FollowLeader != "" {
@@ -466,72 +455,6 @@ func MustNew(cfg Config) *Server {
 // nil when the server is not store-backed.
 func (s *Server) RecoveryReport() *store.RecoveryReport { return s.report }
 
-// SetLogger enables structured request logging through l (nil disables).
-//
-// Deprecated: set Config.Logger instead.
-func (s *Server) SetLogger(l *slog.Logger) { s.log = l }
-
-// SetMaxBody overrides the instance-upload size limit (bytes).
-//
-// Deprecated: set Config.MaxBody instead.
-func (s *Server) SetMaxBody(n int64) {
-	if n > 0 {
-		s.maxBody = n
-	}
-}
-
-// SetRequestTimeout bounds every API request with a context deadline;
-// handlers that outlive it answer 503. Zero disables.
-//
-// Deprecated: set Config.RequestTimeout instead.
-func (s *Server) SetRequestTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.reqTimeout = d
-}
-
-// SetMaxInflight caps concurrently served API requests; excess requests
-// are shed immediately with 429 + Retry-After rather than queued. Health
-// probes are exempt. Zero disables.
-//
-// Deprecated: set Config.MaxInflight instead (which also feeds the
-// admission tier's fairness capacity).
-func (s *Server) SetMaxInflight(n int) {
-	if n > 0 {
-		s.sem = make(chan struct{}, n)
-	} else {
-		s.sem = nil
-	}
-}
-
-// SetQueryWorkers bounds each engine's batch worker pool; n < 1 selects
-// GOMAXPROCS. Existing engines are rebuilt with the new bound (their
-// derived-structure caches restart cold).
-//
-// Deprecated: set Config.QueryWorkers instead.
-func (s *Server) SetQueryWorkers(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queryWorkers = n
-	s.mutateEnginesLocked(func(m map[string]*engine.Engine) {
-		for name, eng := range m {
-			m[name] = s.newEngine(name, eng.Instance())
-		}
-	})
-}
-
-// QueryWorkers returns the configured per-engine batch worker bound
-// (0 until SetQueryWorkers is called — the engine default applies).
-func (s *Server) QueryWorkers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.queryWorkers
-}
-
 // newEngine wraps an instance in an engine wired to the shared result
 // cache under a fresh version prefix (the \x00 separator keeps any
 // name/statement pair from colliding with another prefix). Callers hold
@@ -563,15 +486,6 @@ func (s *Server) newEngine(name string, pi *core.ProbInstance) *engine.Engine {
 	return engine.New(pi, opts...)
 }
 
-// SetBackupRoot enables POST /v1/admin/backup and confines its
-// destinations to subdirectories of root. Until set the endpoint answers
-// 403: accepting arbitrary server-side paths would let any client that
-// can reach the API create directories and write store-content files
-// anywhere the process can.
-//
-// Deprecated: set Config.BackupRoot instead.
-func (s *Server) SetBackupRoot(root string) { s.backupRoot = root }
-
 // SetDraining flips the readiness probe: a draining server answers 503
 // on /readyz so load balancers stop routing to it, while in-flight and
 // new requests still complete. Safe to call at any time.
@@ -586,25 +500,20 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // rejects (degraded read-only mode, append failure) is not installed in
 // memory either, so the served catalog never silently diverges from
 // disk — the error matches store.ErrDegraded when the store has flipped
-// read-only. In legacy flat-file mode the in-memory catalog is updated
-// first and the error reports the persistence outcome.
+// read-only.
 func (s *Server) Put(name string, pi *core.ProbInstance) error {
-	if s.persistent() && !validName(name) {
+	if s.store != nil && !validName(name) {
 		return fmt.Errorf("server: name %q not storable (use [A-Za-z0-9_-])", name)
 	}
 	if s.store != nil {
 		if err := s.store.Put(name, pi); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.mutateEnginesLocked(func(m map[string]*engine.Engine) { m[name] = s.newEngine(name, pi) })
-		s.mu.Unlock()
-		return nil
 	}
 	s.mu.Lock()
 	s.mutateEnginesLocked(func(m map[string]*engine.Engine) { m[name] = s.newEngine(name, pi) })
 	s.mu.Unlock()
-	return s.persist(name, pi)
+	return nil
 }
 
 // Get returns the named instance.
@@ -687,9 +596,6 @@ func (s *Server) Delete(name string) (bool, error) {
 	// fresh cache prefix; the dropped engine's entries are already
 	// unreachable and will age out of the LRU.
 	s.version.Add(1)
-	if existed && s.store == nil {
-		s.unpersist(name)
-	}
 	return existed, nil
 }
 
@@ -710,10 +616,6 @@ func (s *Server) Close() error {
 	}
 	return nil
 }
-
-// persistent reports whether stored names must map to durable artifacts,
-// and hence are restricted to [A-Za-z0-9_-]+.
-func (s *Server) persistent() bool { return s.store != nil || s.dir != "" }
 
 // Names returns the stored names, sorted. Lock-free: the store's
 // catalog (which caches its sorted key list per epoch) on store-backed
@@ -736,11 +638,11 @@ func (s *Server) Names() []string {
 // their /v1 equivalent (method- and body-preserving, so old clients that
 // follow redirects keep working). API routes run under the full
 // hardening stack — request metrics, optional structured logging, panic
-// recovery, per-tenant admission, the in-flight limiter, and the
-// per-request deadline; each route also records into its own percentile
-// timer (http_latency.<endpoint>). The /healthz and /readyz probes sit
-// outside the limiter, deadline, and admission so they keep answering
-// when the API is saturated.
+// recovery, admission (per-tenant quotas, the in-flight cap, fair
+// sharing), and the per-request deadline; each route also records into
+// its own percentile timer (http_latency.<endpoint>). The /healthz and
+// /readyz probes sit outside the deadline and admission so they keep
+// answering when the API is saturated.
 func (s *Server) Handler() http.Handler {
 	// route tags a handler with its per-endpoint percentile timer.
 	route := func(endpoint string, h http.HandlerFunc) http.HandlerFunc {
@@ -770,17 +672,14 @@ func (s *Server) Handler() http.Handler {
 	root := http.NewServeMux()
 	root.HandleFunc("GET /healthz", s.handleHealthz)
 	root.HandleFunc("GET /readyz", s.handleReadyz)
-	// Replication sits outside admission, the inflight limiter, and the
-	// request deadline: a follower long-polling the tail must not burn a
+	// Replication sits outside admission and the request deadline: a follower long-polling the tail must not burn a
 	// serving slot or be cut off mid-poll. The bearer token (when
 	// configured) gates it instead.
 	root.HandleFunc("GET "+repl.StreamPath, route("repl_stream", s.handleReplStream))
 	root.HandleFunc("GET "+repl.BootstrapPath, route("repl_bootstrap", s.handleReplBootstrap))
 	root.HandleFunc("GET "+repl.EpochPath, route("repl_epoch", s.handleReplEpoch))
-	// Admission sits in front of the global limiter: a tenant over its
-	// quota is rejected before it can occupy one of the shared slots.
 	root.Handle(apiv1.Prefix+"/",
-		s.authAdmin(s.admit(s.limitInflight(s.withDeadline(http.StripPrefix(apiv1.Prefix, api))))))
+		s.authAdmin(s.admit(s.withDeadline(http.StripPrefix(apiv1.Prefix, api)))))
 	root.HandleFunc("/", s.redirectLegacy)
 	return s.instrument(s.recoverPanics(root))
 }
@@ -820,10 +719,11 @@ func tenantFromPath(p string) string {
 	return p
 }
 
-// admit runs the per-tenant admission tier: token-bucket quotas first,
-// weighted fair sharing of the inflight capacity under overload second.
-// Shed requests answer 429 with the structured envelope and a
-// Retry-After hint and never reach the shared limiter.
+// admit is the server's one shedding gate (admission.Controller):
+// token-bucket quotas first, then the hard inflight cap, then weighted
+// fair sharing of that capacity under overload. Shed requests answer 429
+// with the structured envelope and a Retry-After hint, and count in
+// http_shed.
 func (s *Server) admit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Admin endpoints bypass admission: operators must be able to
@@ -840,7 +740,7 @@ func (s *Server) admit(next http.Handler) http.Handler {
 			msg := fmt.Sprintf("tenant %q over its request quota, retry later", tenant)
 			if d.Reason == "overload" {
 				code = apiv1.CodeOverloaded
-				msg = fmt.Sprintf("server overloaded and tenant %q is over its fair share, retry later", tenant)
+				msg = fmt.Sprintf("server overloaded: tenant %q is over its fair share or all %d request slots are in use, retry later", tenant, s.cfg.MaxInflight)
 			}
 			apiv1.WriteErrorRetry(w, http.StatusTooManyRequests, code, msg, d.RetryAfter)
 			return
@@ -898,29 +798,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	})
 }
 
-// limitInflight sheds requests beyond the SetMaxInflight cap with 429 +
-// Retry-After instead of queueing without bound: under overload it is
-// better to fail a few requests fast than to slow every request down.
-func (s *Server) limitInflight(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.sem == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-			next.ServeHTTP(w, r)
-		default:
-			s.shed.Inc()
-			w.Header().Set("Retry-After", "1")
-			apiv1.WriteErrorRetry(w, http.StatusTooManyRequests, apiv1.CodeOverloaded,
-				fmt.Sprintf("server overloaded (%d requests in flight), retry later", cap(s.sem)), time.Second)
-		}
-	})
-}
-
-// withDeadline bounds the request with SetRequestTimeout via the context
+// withDeadline bounds the request with Config.RequestTimeout via the context
 // every engine call already honors; an expired deadline surfaces as 503
 // through overloadStatus.
 func (s *Server) withDeadline(next http.Handler) http.Handler {
@@ -1346,7 +1224,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, apiv1.CodeInvalidInstance, fmt.Errorf("instance invalid: %w", err))
 		return
 	}
-	if s.persistent() && !validName(name) {
+	if s.store != nil && !validName(name) {
 		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", name))
 		return
 	}
@@ -1407,7 +1285,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // handleBackup takes an online backup of the durable store into a
 // subdirectory of the configured backup root named by the request. The
 // client chooses only the name; the server chooses the filesystem
-// location, and the endpoint is disabled entirely until SetBackupRoot —
+// location, and the endpoint is disabled entirely without Config.BackupRoot —
 // an unrestricted destination would be a filesystem-write primitive for
 // anyone who can reach the API. The destination must be empty or absent;
 // writes keep flowing while the backup is cut (see store.Backup). The
@@ -1548,7 +1426,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("statement produced no instance to store"))
 			return
 		}
-		if s.persistent() && !validName(store) {
+		if s.store != nil && !validName(store) {
 			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", store))
 			return
 		}
@@ -1637,85 +1515,6 @@ func httpError(w http.ResponseWriter, status int, code string, err error) {
 	apiv1.WriteError(w, status, code, err.Error())
 }
 
-// NewPersistent returns a catalog backed by the durable storage engine
-// in dir: writes go through a write-ahead log with periodic snapshots,
-// and startup runs crash recovery (replaying snapshot-then-WAL,
-// quarantining corrupt records, truncating torn tails). A directory in
-// the legacy flat-file layout is migrated on first open. Names are
-// restricted to [A-Za-z0-9_-]+ to keep durable artifacts unambiguous.
-//
-// Deprecated: use New(Config{StoreDir: dir}).
-func NewPersistent(dir string) (*Server, error) {
-	return New(Config{StoreDir: dir})
-}
-
-// NewWithStore is NewPersistent with explicit store options, also
-// returning the crash-recovery report. The server's metrics registry is
-// installed into the options so store counters surface under /metrics.
-//
-// Deprecated: use New(Config{StoreDir: dir, StoreOptions: opts}) and
-// read the report from RecoveryReport.
-func NewWithStore(dir string, opts store.Options) (*Server, *store.RecoveryReport, error) {
-	s, err := New(Config{StoreDir: dir, StoreOptions: opts})
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, s.report, nil
-}
-
-// NewPersistentFiles returns a catalog backed by the legacy flat-file
-// layout: every stored instance is written to <dir>/<name>.pxml (text
-// encoding, fsynced and atomically renamed), deletes remove the file,
-// and all existing files are loaded at startup. A file that fails to
-// decode does not abort startup: it is logged and quarantined to
-// <name>.pxml.corrupt. Names are restricted to [A-Za-z0-9_-]+ to keep
-// the file mapping unambiguous.
-//
-// Deprecated: use New(Config{FilesDir: dir}).
-func NewPersistentFiles(dir string) (*Server, error) {
-	return New(Config{FilesDir: dir})
-}
-
-// loadFlatFiles wires up legacy flat-file persistence during New.
-func (s *Server) loadFlatFiles(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("server: creating data dir: %w", err)
-	}
-	s.dir = dir
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("server: reading data dir: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".pxml") {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), ".pxml")
-		path := filepath.Join(dir, e.Name())
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		pi, err := codec.DecodeText(f)
-		f.Close()
-		if err != nil {
-			// One damaged file must not take the whole catalog down:
-			// set it aside for inspection and keep loading the rest.
-			corrupt := path + ".corrupt"
-			if rerr := os.Rename(path, corrupt); rerr != nil {
-				return fmt.Errorf("server: quarantining corrupt %s: %w", e.Name(), rerr)
-			}
-			slog.Warn("corrupt instance file quarantined",
-				"file", path, "quarantined_to", corrupt, "error", err)
-			continue
-		}
-		s.mu.Lock()
-		s.mutateEnginesLocked(func(m map[string]*engine.Engine) { m[name] = s.newEngine(name, pi) })
-		s.mu.Unlock()
-	}
-	return nil
-}
-
 // validName reports whether a name is safe for persistent storage.
 func validName(name string) bool {
 	if name == "" {
@@ -1729,51 +1528,4 @@ func validName(name string) bool {
 		}
 	}
 	return true
-}
-
-// persist writes the named instance to disk when legacy flat-file
-// persistence is enabled. The temp file is fsynced before the rename and
-// the directory entry after it; without both, a crash shortly after Put
-// could leave a zero-length or unlinked file despite the rename being
-// "atomic".
-func (s *Server) persist(name string, pi *core.ProbInstance) error {
-	if s.dir == "" {
-		return nil
-	}
-	if !validName(name) {
-		return fmt.Errorf("server: name %q not storable (use [A-Za-z0-9_-])", name)
-	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := codec.EncodeText(tmp, pi); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name+".pxml")); err != nil {
-		return err
-	}
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// unpersist removes the named instance's file when persistence is enabled.
-func (s *Server) unpersist(name string) {
-	if s.dir == "" || !validName(name) {
-		return
-	}
-	_ = os.Remove(filepath.Join(s.dir, name+".pxml"))
 }

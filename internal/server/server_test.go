@@ -18,7 +18,6 @@ import (
 	"pxml/internal/fixtures"
 	"pxml/internal/prob"
 	"pxml/internal/sets"
-	"pxml/internal/store"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -246,7 +245,7 @@ func smallTree() *core.ProbInstance {
 
 func TestPersistentCatalog(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewPersistent(dir)
+	s, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +264,7 @@ func TestPersistentCatalog(t *testing.T) {
 	}
 
 	// A fresh catalog over the same directory sees both instances.
-	s2, err := NewPersistent(dir)
+	s2, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +282,7 @@ func TestPersistentCatalog(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := NewPersistent(dir)
+	s3, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +294,7 @@ func TestPersistentCatalog(t *testing.T) {
 
 func TestPersistentHTTPRejectsBadNames(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewPersistent(dir)
+	s, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +307,7 @@ func TestPersistentHTTPRejectsBadNames(t *testing.T) {
 }
 
 func TestPutOversizedBodyGets413(t *testing.T) {
-	s := MustNew(Config{})
-	s.SetMaxBody(512)
+	s := MustNew(Config{MaxBody: 512})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -445,10 +443,9 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestRequestLogging(t *testing.T) {
-	s := MustNew(Config{})
 	var buf bytes.Buffer
 	var mu sync.Mutex
-	s.SetLogger(slog.New(slog.NewJSONHandler(syncWriter{&mu, &buf}, nil)))
+	s := MustNew(Config{Logger: slog.New(slog.NewJSONHandler(syncWriter{&mu, &buf}, nil))})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -488,50 +485,65 @@ func (s syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// TestPersistentFilesCatalog exercises the legacy flat-file backend:
-// stores and deletes survive a reopen, and a corrupt file is quarantined
-// to <name>.pxml.corrupt instead of failing startup.
+// TestPersistentFilesCatalog opens the durable store over a directory in
+// the legacy flat-file layout (<name>.pxml text files): decodable files
+// are migrated into the store, a corrupt one is quarantined to
+// <name>.pxml.corrupt instead of failing startup, and the migrated
+// catalog survives further writes and a reopen.
 func TestPersistentFilesCatalog(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewPersistentFiles(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("tree", smallTree()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("bib", fixtures.Figure2()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("../evil", smallTree()); err == nil {
-		t.Error("path-escaping name accepted")
+	for name, pi := range map[string]*core.ProbInstance{"tree": smallTree(), "bib": fixtures.Figure2()} {
+		var buf bytes.Buffer
+		if err := codec.EncodeText(&buf, pi); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name+".pxml"), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := os.WriteFile(filepath.Join(dir, "mangled.pxml"), []byte("pxml/1\nnot an instance\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := NewPersistentFiles(dir)
+	s, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatalf("corrupt file aborted startup: %v", err)
 	}
-	names := s2.Names()
+	if rep := s.RecoveryReport(); rep.MigratedLegacy != 2 || len(rep.Quarantined) != 1 {
+		t.Fatalf("recovery report = %s, want 2 migrated and 1 quarantined", rep)
+	}
+	names := s.Names()
 	if len(names) != 2 || names[0] != "bib" || names[1] != "tree" {
-		t.Fatalf("restored names = %v", names)
+		t.Fatalf("migrated names = %v", names)
+	}
+	if pi, ok := s.Get("bib"); !ok || pi.NumObjects() != 11 {
+		t.Fatalf("migrated bib = %v", pi)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "mangled.pxml.corrupt")); err != nil {
 		t.Fatalf("corrupt file not quarantined: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "mangled.pxml")); !os.IsNotExist(err) {
-		t.Fatal("corrupt file still in place")
+	for _, f := range []string{"mangled.pxml", "tree.pxml", "bib.pxml"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
+			t.Fatalf("%s still in place after migration", f)
+		}
+	}
+	if err := s.Put("../evil", smallTree()); err == nil {
+		t.Error("path-escaping name accepted")
+	}
+	if _, err := s.Delete("tree"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	s2.Delete("tree")
-	s3, err := NewPersistentFiles(dir)
+	s2, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s3.Names()) != 1 {
-		t.Errorf("names after delete = %v", s3.Names())
+	defer s2.Close()
+	if names := s2.Names(); len(names) != 1 || names[0] != "bib" {
+		t.Errorf("names after delete and reopen = %v", names)
 	}
 }
 
@@ -539,10 +551,11 @@ func TestPersistentFilesCatalog(t *testing.T) {
 // surfaces the recovery report and a "store" section under /metrics.
 func TestNewWithStoreReportAndMetrics(t *testing.T) {
 	dir := t.TempDir()
-	s, rep, err := NewWithStore(dir, store.Options{})
+	s, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := s.RecoveryReport()
 	if rep == nil || rep.Recovered != 0 {
 		t.Fatalf("fresh dir recovery report = %+v", rep)
 	}
@@ -553,10 +566,11 @@ func TestNewWithStoreReportAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, rep2, err := NewWithStore(dir, store.Options{})
+	s2, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep2 := s2.RecoveryReport()
 	defer s2.Close()
 	if rep2.Recovered != 1 {
 		t.Fatalf("reopen recovered %d, want 1 (%s)", rep2.Recovered, rep2)

@@ -33,11 +33,12 @@
 // The Section 6 fast paths require the weak instance graph to be a tree and
 // return ErrNotTree otherwise; the *Global variants and the Bayesian
 // network functions (ProbExists, PathProb) handle arbitrary acyclic
-// instances.
+// instances. Prob, ProbPoint, ProbValue and EvalPXQL pick the route
+// themselves, through the same router the Engine uses.
 package pxml
 
 import (
-	"errors"
+	"context"
 	"io"
 	"math/rand"
 
@@ -282,13 +283,13 @@ func Mixture(a, b *GlobalInterpretation, w float64) (*GlobalInterpretation, erro
 // Enumerate materializes the possible worlds of an instance with their
 // probabilities (Definitions 4.1–4.4). limit ≤ 0 uses the default cap.
 func Enumerate(pi *ProbInstance, limit int) (*GlobalInterpretation, error) {
-	return enumerate.Enumerate(pi, limit)
+	return enumerate.EnumerateCtx(context.Background(), pi, limit)
 }
 
 // TopK returns the k most probable possible worlds via best-first search,
 // exact without enumerating the (possibly astronomical) full domain.
 func TopK(pi *ProbInstance, k, maxExpansions int) ([]World, error) {
-	return enumerate.TopK(pi, k, maxExpansions)
+	return enumerate.TopKCtx(context.Background(), pi, k, maxExpansions)
 }
 
 // Sample draws one possible world by forward sampling (linear in the
@@ -303,7 +304,7 @@ type MonteCarloEstimate = enumerate.Estimate
 // EstimateProb estimates P(pred) over possible worlds from n forward
 // samples — the approximate route for instances too large for Enumerate.
 func EstimateProb(pi *ProbInstance, pred func(*Instance) bool, n int, r *rand.Rand) (MonteCarloEstimate, error) {
-	return enumerate.EstimateProb(pi, pred, n, r)
+	return enumerate.EstimateProbCtx(context.Background(), pi, pred, n, r)
 }
 
 // IngestOptions configures Ingest.
@@ -316,27 +317,20 @@ func Ingest(s *Instance, opts IngestOptions) (*ProbInstance, error) {
 	return ingest.FromInstance(s, opts)
 }
 
-// Prob returns P(∃o. o ∈ p) on any acyclic instance: it tries the
-// Section 6 tree fast path first and transparently falls back to
-// Bayesian-network inference when the instance is a DAG. Use ExistsQuery
-// (tree route) or PathProb (network route) to pick the route explicitly.
+// Prob returns P(∃o. o ∈ p) on any acyclic instance: the engine's router
+// runs the Section 6 tree fast path on trees and Bayesian-network
+// inference on DAGs. Use ExistsQuery (tree route) or PathProb (network
+// route) to pick the route explicitly, and an Engine to amortize the
+// support structures over many queries.
 func Prob(pi *ProbInstance, p Path) (float64, error) {
-	pr, err := query.ExistsQuery(pi, p)
-	if errors.Is(err, ErrNotTree) {
-		return bayes.PathProb(pi, p, "")
-	}
-	return pr, err
+	return engine.New(pi).ProbExists(context.Background(), p)
 }
 
 // ProbPoint returns P(o ∈ p) on any acyclic instance, routing like Prob.
 // Use PointQuery (tree route) or PathProb (network route) to pick the
 // route explicitly.
 func ProbPoint(pi *ProbInstance, p Path, o string) (float64, error) {
-	pr, err := query.PointQuery(pi, p, o)
-	if errors.Is(err, ErrNotTree) {
-		return bayes.PathProb(pi, p, o)
-	}
-	return pr, err
+	return engine.New(pi).ProbPoint(context.Background(), p, o)
 }
 
 // ProbValue returns P(o ∈ p ∧ val(o) = v) on any acyclic instance. Trees
@@ -345,19 +339,7 @@ func ProbPoint(pi *ProbInstance, p Path, o string) (float64, error) {
 // draw is independent of the structure choice given that o occurs). Use
 // ValuePointQuery to demand the tree route explicitly.
 func ProbValue(pi *ProbInstance, p Path, o, v string) (float64, error) {
-	pr, err := query.ValuePointQuery(pi, p, o, v)
-	if !errors.Is(err, ErrNotTree) {
-		return pr, err
-	}
-	vpf := pi.VPF(o)
-	if vpf == nil {
-		return 0, nil
-	}
-	pp, err := bayes.PathProb(pi, p, o)
-	if err != nil {
-		return 0, err
-	}
-	return pp * vpf.Prob(v), nil
+	return engine.New(pi).ProbValue(context.Background(), p, o, v)
 }
 
 // PointQuery returns P(o ∈ p) on a tree-structured instance (Definition
@@ -365,13 +347,19 @@ func ProbValue(pi *ProbInstance, p Path, o, v string) (float64, error) {
 // returns ErrNotTree on DAGs (use PathProb there, or ProbPoint to route
 // automatically).
 func PointQuery(pi *ProbInstance, p Path, o string) (float64, error) {
-	return query.PointQuery(pi, p, o)
+	if !pi.IsTree() {
+		return 0, ErrNotTree
+	}
+	return query.PointQueryIndexedCtx(context.Background(), pi, nil, p, o)
 }
 
 // ExistsQuery returns P(∃o. o ∈ p) on a tree-structured instance — the
 // explicit tree-route variant of Prob.
 func ExistsQuery(pi *ProbInstance, p Path) (float64, error) {
-	return query.ExistsQuery(pi, p)
+	if !pi.IsTree() {
+		return 0, ErrNotTree
+	}
+	return query.ExistsQueryIndexedCtx(context.Background(), pi, nil, p)
 }
 
 // ChainProb returns the probability of a root-anchored object chain
@@ -388,7 +376,10 @@ func ValueExistsQuery(pi *ProbInstance, p Path, v string) (float64, error) {
 // ValuePointQuery returns P(o ∈ p ∧ val(o) = v) on a tree — the explicit
 // tree-route variant of ProbValue.
 func ValuePointQuery(pi *ProbInstance, p Path, o, v string) (float64, error) {
-	return query.ValuePointQuery(pi, p, o, v)
+	if !pi.IsTree() {
+		return 0, ErrNotTree
+	}
+	return query.ValuePointQueryIndexedCtx(context.Background(), pi, nil, p, o, v)
 }
 
 // ExistenceMarginals returns P(o exists) for every object of a
@@ -400,7 +391,7 @@ func ExistenceMarginals(pi *ProbInstance) (map[string]float64, error) {
 // CountDistribution returns the exact distribution of the number of
 // objects satisfying p in a possible world (tree-structured instances).
 func CountDistribution(pi *ProbInstance, p Path) (map[int]float64, error) {
-	return query.CountDistribution(pi, p)
+	return query.CountDistributionCtx(context.Background(), pi, p)
 }
 
 // ExpectedCount returns E[|{o : o ∈ p}|] on a tree-structured instance.
@@ -423,16 +414,19 @@ func NewSymmetricOPF(groups ...[]string) (*SymmetricOPF, error) {
 // CompileBayes maps an instance to its Bayesian network (Section 6's
 // correspondence), enabling exact inference on arbitrary acyclic
 // instances.
-func CompileBayes(pi *ProbInstance) (*Network, error) { return bayes.Compile(pi) }
+func CompileBayes(pi *ProbInstance) (*Network, error) {
+	return bayes.CompileCtx(context.Background(), pi)
+}
 
 // ProbExists returns the probability that object o occurs in a possible
 // world, exact on DAGs (Section 2, scenario 4).
 func ProbExists(pi *ProbInstance, o string) (float64, error) {
-	net, err := bayes.Compile(pi)
+	ctx := context.Background()
+	net, err := bayes.CompileCtx(ctx, pi)
 	if err != nil {
 		return 0, err
 	}
-	return net.ProbExists(o)
+	return net.ProbExistsCtx(ctx, o)
 }
 
 // PathProb answers a point query (o != "") or existence query (o == "")
@@ -504,11 +498,12 @@ func IntervalValueExistsBound(in *IntervalInstance, p Path, v string) (Bound, er
 	return interval.ValueExistsBound(in, p, v)
 }
 
-// EvalPXQL parses and executes one pxql statement against an instance.
-// For repeated statements against the same instance, prefer an Engine,
-// which caches the support structures between queries.
+// EvalPXQL parses and executes one pxql statement against an instance
+// through a throwaway Engine. For repeated statements against the same
+// instance, keep an Engine, which caches the support structures between
+// queries.
 func EvalPXQL(pi *ProbInstance, statement string) (*PXQLResult, error) {
-	return pxql.Eval(pi, statement)
+	return engine.New(pi).Run(context.Background(), statement)
 }
 
 // ParsePXQL parses one pxql statement.

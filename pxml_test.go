@@ -279,6 +279,12 @@ func TestErrNotTreeSurfaces(t *testing.T) {
 	if _, err := pxml.ExistsQuery(dag, pxml.MustParsePath("r.a.b")); !errors.Is(err, pxml.ErrNotTree) {
 		t.Errorf("exists err = %v", err)
 	}
+	if _, err := pxml.PointQuery(dag, pxml.MustParsePath("r.a.b"), "s"); !errors.Is(err, pxml.ErrNotTree) {
+		t.Errorf("point err = %v", err)
+	}
+	if _, err := pxml.ValuePointQuery(dag, pxml.MustParsePath("r.a.b"), "s", "v"); !errors.Is(err, pxml.ErrNotTree) {
+		t.Errorf("value point err = %v", err)
+	}
 	// The DAG-capable route still answers.
 	p, err := pxml.PathProb(dag, pxml.MustParsePath("r.a.b"), "s")
 	if err != nil {
